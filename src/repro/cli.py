@@ -105,8 +105,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default=None,
-        help="cycle engine (default: REPRO_BACKEND or the built-in "
-        "default); backends produce bit-identical results",
+        help="cycle engine (default: REPRO_BACKEND, else cloop, which runs "
+        "vectorized without a C toolchain); backends produce "
+        "bit-identical results",
     )
 
     p_fig = sub.add_parser("figure", help="regenerate a figure of the paper")
@@ -137,8 +138,8 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default=None,
         help="cycle engine for every simulation of the sweep (default: "
-        "REPRO_BACKEND or the built-in default); results and cache "
-        "entries are bit-identical across backends",
+        "REPRO_BACKEND, else cloop); results and cache entries are "
+        "bit-identical across backends",
     )
     _add_executor_args(p_fig)
 
@@ -180,8 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=BACKENDS,
         default=None,
-        help="cycle engine for every simulation (default: REPRO_BACKEND "
-        "or the built-in default)",
+        help="cycle engine for every simulation (default: REPRO_BACKEND, "
+        "else cloop)",
     )
     p_sweep.add_argument("--out", help="also write the result as JSON here")
     _add_executor_args(p_sweep)

@@ -14,25 +14,16 @@ Registered engines:
 ``reference``
     the oracle interpreter (one object per uop, one method per stage).
 ``vectorized``
-    the flattened SoA engine (the default): one function, precomputed
-    trace columns, object-per-uop in-flight state.
-``numpy``
-    the batched slot-pool engine: in-flight uops live in
-    :class:`~repro.core.soa.PipelineSoA` columns, no ``Uop`` objects on
-    the fast path (:mod:`repro.core.npengine`).
-``compiled``
-    the slot-pool engine with its wakeup/select inner kernel compiled
-    to C on demand via cffi (:mod:`repro.core.ckernel`).  The kernel is
-    a *soft* dependency: when cffi or a C compiler is missing — or
-    ``REPRO_NO_CKERNEL`` is set — the backend silently runs the pure
-    Python kernel and remains bit-identical.
+    the flattened SoA engine: one function, precomputed trace columns,
+    object-per-uop in-flight state.  The pure-Python fallback.
 ``cloop``
-    the whole-loop compiled engine: the entire cycle loop runs in one
-    resident C kernel against the slot-pool columns, re-entering Python
-    only at observable-event boundaries (:mod:`repro.core.cloop`).
-    Icount and the trivial-admission family run natively in a C policy
-    table; everything else — and any environment without the toolchain
-    — delegates to the ``compiled``/``numpy`` chain, bit-identical.
+    the whole-loop compiled engine (the default): the entire cycle loop
+    runs in one resident C kernel, re-entering Python only at
+    observable-event boundaries (:mod:`repro.core.cloop`).  Icount and
+    the trivial-admission family run natively in a C policy table;
+    everything else — and any environment without cffi or a C compiler,
+    or with ``REPRO_NO_CKERNEL`` set — runs ``vectorized``,
+    bit-identical.
 
 Selection precedence: explicit ``backend=`` argument >
 ``REPRO_BACKEND`` environment variable > :data:`DEFAULT_BACKEND`.
@@ -53,27 +44,27 @@ if TYPE_CHECKING:  # pragma: no cover
 _ENV_VAR = "REPRO_BACKEND"
 
 #: Registered backend names, in oracle-to-fastest order.
-BACKENDS: tuple[str, ...] = ("reference", "vectorized", "numpy", "compiled", "cloop")
+BACKENDS: tuple[str, ...] = ("reference", "vectorized", "cloop")
 
 #: Backends whose full speed depends on an optional toolchain; they
 #: still *run* without it (pure-Python fallback), but selection errors
 #: report the degradation so users aren't surprised by the numbers.
-OPTIONAL_BACKENDS: tuple[str, ...] = ("compiled", "cloop")
+OPTIONAL_BACKENDS: tuple[str, ...] = ("cloop",)
 
-DEFAULT_BACKEND = "vectorized"
+#: Safe as the default: without the toolchain ``cloop`` runs ``vectorized``.
+DEFAULT_BACKEND = "cloop"
 
 
 def optional_backend_notes() -> dict[str, str]:
     """Availability notes for optional backends (empty note = fully
-    available).  Probing is cheap: it checks the toolchain, it does not
-    build the kernel."""
+    available).  Probing is cheap: it checks the toolchain and any
+    remembered build failure, it does not build the kernel."""
     notes: dict[str, str] = {}
     from repro.core.ckernel import kernel_unavailable_reason
 
     reason = kernel_unavailable_reason()
     if reason:
-        notes["compiled"] = f"runs with pure-Python kernel: {reason}"
-        notes["cloop"] = f"runs on the pure slot-pool engine: {reason}"
+        notes["cloop"] = f"runs on vectorized: {reason}"
     return notes
 
 
@@ -121,14 +112,6 @@ def processor_class(backend: str) -> "type[Processor]":
         from repro.core.vectorized import VectorizedProcessor
 
         return VectorizedProcessor
-    if backend == "numpy":
-        from repro.core.npengine import NumpyProcessor
-
-        return NumpyProcessor
-    if backend == "compiled":
-        from repro.core.npengine import CompiledProcessor
-
-        return CompiledProcessor
     if backend == "cloop":
         from repro.core.cloop import CloopProcessor
 

@@ -1,21 +1,20 @@
-"""Whole-loop compiled cycle engine (the ``cloop`` backend).
+"""Whole-loop compiled cycle engine (the ``cloop`` backend, the default).
 
-PR 9's finding was structural: a *per-phase* C kernel breaks even
-because the per-cycle FFI call costs what the scan it replaces costs.
-This backend moves the **entire cycle loop** across the C boundary so
-the call cost amortizes over thousands of cycles: fetch, rename, issue,
-writeback, commit, copy generation, the inter-cluster interconnect
-queues, the event wheel and the Tier-A/Tier-B fast-forward jump all
-execute in one resident C kernel, and Python is re-entered only at
-*observable-event boundaries* — region exit (limit / stop condition),
-the deadlock watchdog, and any configuration the C policy table cannot
-express.
+A *per-phase* C kernel breaks even: the per-cycle FFI call costs what
+the scan it replaces costs.  This backend moves the **entire cycle
+loop** across the C boundary so the call cost amortizes over thousands
+of cycles: fetch, rename, issue, writeback, commit, copy generation, the
+inter-cluster interconnect queues, the event wheel and the Tier-A/Tier-B
+fast-forward jump all execute in one resident C kernel, and Python is
+re-entered only at *observable-event boundaries* — region exit (limit /
+stop condition), the deadlock watchdog, and any configuration the C
+policy table cannot express.
 
 Identity is by construction, the same way every other backend earns it:
 the C kernel is an operation-for-operation transcription of the
-slot-pool engine (:mod:`repro.core.npengine`), which is itself a
-transcription of the vectorized loop, which transcribes the reference
-interpreter.  The transcription preserves
+vectorized loop (:mod:`repro.core.vectorized`), which transcribes the
+reference interpreter, over a slot-pool representation of in-flight
+uops.  The transcription preserves
 
 * the exact phase order (commit, writeback, fills, copy delivery,
   issue, imbalance probe, rename, fetch, watchdog, jump) and every
@@ -35,29 +34,30 @@ checks (`may_dispatch_group`) are transcribed into the kernel, their
 ``ff_horizon``/``ff_cycles`` hooks are the base-class no-ops, and their
 rename selection is the inlined ICOUNT scan.  Everything else —
 telemetry runs, policies with live hooks or non-C admission state,
-steering ablations — delegates to the proven ``compiled``/``numpy``
-chain through the inherited entry points, so one instance never mixes
-C-resident and Python-resident machine state.
+steering ablations — runs on the inherited ``vectorized`` engine, so one
+instance never mixes C-resident and Python-resident machine state.
 
 Region API: :meth:`CloopProcessor.run_cycles` runs a bounded region and
 returns a typed exit reason (``"limit"`` or ``"done"``); exit counts are
 tallied in :attr:`CloopProcessor.region_exits`.  The kernel is a soft
-dependency with the established discipline: built on demand with cffi
-and a content-hashed persistent cache (:mod:`repro.core.ckernel`), and
-``REPRO_NO_CKERNEL`` / no cffi / no C compiler falls back to the pure
-slot-pool engine, bit-identical, with the reason surfaced by
+dependency: built on demand with cffi into a content-hashed persistent
+cache (:mod:`repro.core.ckernel`), and ``REPRO_NO_CKERNEL`` / no cffi /
+no C compiler / a failed build runs ``vectorized`` instead,
+bit-identical, with the reason surfaced by
 :func:`repro.core.ckernel.kernel_unavailable_reason`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from repro.core.ckernel import kernel_unavailable_reason, load_shared_lib
-from repro.core.npengine import CompiledProcessor
 from repro.core.processor import _WATCHDOG_CYCLES, DeadlockError
-from repro.core.soa import SLOT_BITS
-from repro.core.vectorized import _BRANCH, _COPY, _LOAD, _STORE
+from repro.core.soa import SLOT_BITS, trace_latencies, trace_soa
+from repro.core.vectorized import _BRANCH, _COPY, _LOAD, _STORE, VectorizedProcessor
 from repro.isa import NUM_ARCH_INT, NUM_ARCH_REGS
 from repro.isa.uops import PORT_CLASS_TABLE
+from repro.policies import make_policy
 from repro.policies.icount import IcountPolicy
 from repro.policies.static_partition import (
     CISPPolicy,
@@ -79,6 +79,19 @@ _C_POLICY_KINDS = {
     CSPSPPolicy: 3,
     PrivateClustersPolicy: 4,
 }
+
+
+@lru_cache(maxsize=None)
+def in_c_table(policy: str) -> bool:
+    """Whether the named policy runs in the C policy table.
+
+    Under ``cloop`` every other policy runs on ``vectorized``; the sweep
+    cost model prices it accordingly.
+    """
+    try:
+        return type(make_policy(policy)) in _C_POLICY_KINDS
+    except KeyError:
+        return False
 
 _STOP_CODES = {"first_done": 0, "all_done": 1, "cycles": 2}
 
@@ -715,7 +728,7 @@ static void mob_forget(cloop *c, i64 tid, i64 line) {
     else imap_put(&c->mob_lines[tid], line, n - 1);
 }
 
-/* ---- slot pool growth (PipelineSoA.grow) ---- */
+/* ---- slot pool growth (doubling up to 1 << slot_bits slots) ---- */
 static i64 pgrow_i64(i64 *old, i64 ocap, i64 ncap, i64 fill, i64 **out) {
     i64 *nd = (i64 *)malloc((size_t)ncap * sizeof(i64));
     memcpy(nd, old, (size_t)ocap * sizeof(i64));
@@ -1004,7 +1017,7 @@ static int may_dispatch_group(cloop *c, i64 tid, i64 n0, i64 n1) {
 
 /* ---- one admission attempt for a candidate cluster ----
  * Returns -1 on success or the blocking CAUSE_* otherwise; transcribes
- * the unrolled per-cluster admission check in _slot_loop's rename
+ * the unrolled per-cluster admission check in the vectorized rename
  * phase (alloc_trivial holds for every C policy, so may_alloc_reg
  * never appears). */
 static i64 admission_try(cloop *c, i64 cl, i64 tid, i64 s1, i64 s2,
@@ -1043,7 +1056,7 @@ static i64 admission_try(cloop *c, i64 cl, i64 tid, i64 s1, i64 s2,
 _C_RUN = r"""
 /* Run cycles until limit / the stop condition (one cycle when single).
  * Exit codes: 0 = limit, 1 = stop condition ("done"), 2 = watchdog,
- * 3 = pool past MAX_SLOTS, 4 = machine invariant error (see err). */
+ * 3 = pool past 1 << slot_bits, 4 = machine invariant error (see err). */
 long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                     i64 use_ff, i64 single) {
     cloop *c = (cloop *)cp;
@@ -2331,20 +2344,29 @@ class _CloopContext:
     exactly the region contract documented on :class:`CloopProcessor`.
     """
 
-    #: (lib, ffi) memoized per process — the build is content-hashed and
-    #: cached on disk, but cdef+dlopen still cost ~ms per call
-    _lib_memo: tuple | None = None
+    @staticmethod
+    def _pool_capacity(proc) -> int:
+        """Initial slot-pool size: an upper bound on simultaneously live
+        uops.
 
-    @classmethod
-    def _load(cls):
-        if cls._lib_memo is None:
-            cls._lib_memo = load_shared_lib(
-                _CLOOP_SOURCE, _CLOOP_CDEF, "repro_cloop"
-            )
-        return cls._lib_memo
+        Fetch queues + ROB partitions bound the non-copy uops; issue
+        queues plus total register capacity bound the copies (an
+        undelivered copy always holds a replica register).  Unbounded
+        ROB/register configs start from their initial capacity and the
+        kernel doubles the pool when it runs out.
+        """
+        cap = 64
+        fq_cap = proc._fetch_queue_entries
+        for t in proc.threads:
+            cap += fq_cap + t.rob.capacity
+        for cl in proc.clusters:
+            cap += cl.iq.capacity
+            for f in cl.regs.files:
+                cap += f.capacity
+        return cap
 
     def __init__(self, proc) -> None:
-        lib, ffi = self._load()
+        lib, ffi = load_shared_lib(_CLOOP_SOURCE, _CLOOP_CDEF, "repro_cloop")
         self._lib = lib
         self._ffi = ffi
         self._n_threads = proc._n_threads
@@ -2382,7 +2404,7 @@ class _CloopContext:
             int(proc._dispatch_trivial),
             int(proc._memo_on),
             int(proc._forced_cluster is not None),
-            proc._pool_capacity(),
+            self._pool_capacity(proc),
             SLOT_BITS,
             _WATCHDOG_CYCLES,
             *proc._latency,
@@ -2425,9 +2447,17 @@ class _CloopContext:
         cfg_arr = ffi.new("long long[]", [int(v) for v in cfg])
         self.c = ffi.gc(lib.cloop_new(cfg_arr, len(cfg)), lib.cloop_free)
 
-        # static trace columns (the kernel memcpy's them: no keepalive)
+        # static trace columns: the vectorized fetch columns plus the
+        # slot fill's (port class, dest class, base latency, next slow
+        # record); the kernel memcpy's them, so no keepalive
         for tid, t in enumerate(proc.threads):
-            cols = proc._slot_cols[tid]
+            soa = trace_soa(t.trace)
+            cols = proc._fetch_cols[tid] + (
+                soa.port_class,
+                soa.dest_class,
+                trace_latencies(t.trace, proc._latency),
+                soa.next_slow,
+            )
             arrs = [ffi.new("long long[]", [int(x) for x in col]) for col in cols]
             lib.cloop_set_trace(self.c, tid, t.n_records, *arrs)
 
@@ -2603,17 +2633,17 @@ class _CloopContext:
             self.last_queues.append((fq_len, infl_len, rob_len))
 
 
-class CloopProcessor(CompiledProcessor):
+class CloopProcessor(VectorizedProcessor):
     """The whole-cycle-loop compiled backend (``cloop``).
 
-    Inside the C envelope — the slot-pool envelope (no telemetry, no
-    live hooks, inlinable or forced steering) *plus* an exactly-matched
-    C-table policy — the entire simulation runs as bounded regions
-    inside one resident kernel, and Python re-enters only at region
-    boundaries.  Outside the envelope every entry point delegates to
-    the inherited ``compiled`` chain, so ablation subclasses, telemetry
-    runs and adaptive policies remain bit-identical through the proven
-    engines.
+    Inside the C envelope — no telemetry, no live policy hooks, inlinable
+    or forced steering, the inlined ICOUNT rename scan, two clusters and
+    an exactly-matched C-table policy — the entire simulation runs as
+    bounded regions inside one resident kernel, and Python re-enters
+    only at region boundaries.  Outside the envelope, or without the
+    kernel, every entry point runs the inherited ``vectorized`` engine,
+    so ablation subclasses, telemetry runs and adaptive policies remain
+    bit-identical through the proven engine.
 
     Mid-run fallback is sticky by construction: the C context can only
     be adopted on a completely fresh machine (cycle 0, zero stats), so
@@ -2628,7 +2658,9 @@ class CloopProcessor(CompiledProcessor):
             config, policy, traces, steering=steering, telemetry=telemetry
         )
         self._cloop_ok = (
-            self._soa_ok
+            self.tel is None
+            and all(h is None for h in self._hooks.values())
+            and (self._steer_inline or self._forced_cluster is not None)
             and self._icount_select
             and len(self.clusters) == 2
             and type(policy) in _C_POLICY_KINDS
@@ -2654,7 +2686,7 @@ class CloopProcessor(CompiledProcessor):
             return False
         if self.cycle != 0 or self.stats.cycles != 0:
             # the machine already ran in Python; importing that state
-            # mid-flight is not supported — stay on the pure engine
+            # mid-flight is not supported — stay on vectorized
             self._cl_failed = True
             self._cl_error = "machine already running on the pure engine"
             return False
@@ -2667,27 +2699,25 @@ class CloopProcessor(CompiledProcessor):
         return True
 
     def kernel_active(self) -> bool:
-        """True when the whole-loop C kernel (not a fallback) is in use."""
-        if self._cloop_ok and self._ensure_ctx():
-            return True
-        return super().kernel_active()
+        """True when the C kernel owns this machine."""
+        return self._cloop_ok and self._ensure_ctx()
 
     # -- entry points (the backend seam) -------------------------------- #
 
     def run_loop(self, limit, stop="first_done", use_ff=True, commit_target=None):
-        if not self._cloop_ok or not self._ensure_ctx():
+        if not self.kernel_active():
             return super().run_loop(
                 limit, stop=stop, use_ff=use_ff, commit_target=commit_target
             )
         self._region(limit, _STOP_CODES[stop], use_ff, commit_target, False)
 
     def step(self) -> None:
-        if not self._cloop_ok or not self._ensure_ctx():
+        if not self.kernel_active():
             return super().step()
         self._region(self.cycle + 1, _STOP_CODES["cycles"], False, None, True)
 
     def step_fast(self, limit: int) -> None:
-        if not self._cloop_ok or not self._ensure_ctx():
+        if not self.kernel_active():
             return super().step_fast(limit)
         self._region(limit, _STOP_CODES["cycles"], True, None, True)
 
@@ -2706,23 +2736,15 @@ class CloopProcessor(CompiledProcessor):
         :data:`REGION_LIMIT`.  This is the boundary non-C policies and
         telemetry drivers use: observable state is fully exported at
         return, so arbitrary Python may inspect the machine between
-        regions.  Works identically (reason included) on the pure
-        fallback path.
+        regions.  Works identically (reason included) on the
+        ``vectorized`` fallback.
         """
         if stop not in _STOP_CODES:
             raise ValueError(f"unknown stop mode {stop!r}")
         limit = self.cycle + n
-        if self._cloop_ok and self._ensure_ctx():
+        if self.kernel_active():
             return self._region(limit, _STOP_CODES[stop], use_ff, None, False)
-        while self.cycle < limit:
-            if stop == "first_done" and self.finished_count > 0:
-                break
-            if stop == "all_done" and self.finished_count >= self._n_threads:
-                break
-            if use_ff:
-                self.step_fast(limit)
-            else:
-                self.step()
+        super().run_loop(limit, stop=stop, use_ff=use_ff)
         done = (stop == "first_done" and self.finished_count > 0) or (
             stop == "all_done" and self.finished_count >= self._n_threads
         )

@@ -1,42 +1,26 @@
-"""Structure-of-arrays pipeline state for the batched engines.
+"""Structure-of-arrays trace columns for the fast engines.
 
 The reference interpreter derives everything about a uop from the
 :class:`~repro.isa.Uop` object at the moment each stage touches it —
 port class from ``PORT_CLASS_TABLE[uop.opclass]``, register class from
 ``dest < NUM_ARCH_INT``, fetch-group breaks from ``opclass``/flag
 fields.  All of that is a pure function of the *trace record*, so the
-batched backends precompute it once per trace with bulk NumPy column
+fast engines precompute it once per trace with bulk NumPy column
 operations and read flat arrays (plain lists, the fastest random-access
 container in CPython) inside their cycle loops.
 
-Two layers live here:
+:class:`TraceSoA` holds that immutable per-record static metadata,
+indexed by trace sequence number and cached on the
+:class:`~repro.trace.trace.Trace` so repeated simulations (sweeps,
+benchmarks) build it once.  It covers only the right path; wrong-path
+uops are synthesized on the fly.
 
-* :class:`TraceSoA` — immutable per-record static metadata, indexed by
-  trace sequence number, cached on the :class:`~repro.trace.trace.Trace`
-  so repeated simulations (sweeps, benchmarks) build it once.  Covers
-  only the right path; wrong-path uops are synthesized on the fly.
-* :class:`PipelineSoA` — the *dynamic* in-flight uop state of one
-  simulation as a recycled slot pool of parallel columns.  The ``numpy``
-  and ``compiled`` backends hold no :class:`~repro.isa.Uop` objects at
-  all on their fast path: a uop is an integer slot, its fields are
-  ``column[slot]`` reads, and age-ordered structures (ready heaps,
-  deferred lists, the event wheel, the interconnect) store packed
-  ``(age << SLOT_BITS) | slot`` keys so a recycled slot can never be
-  mistaken for its previous occupant (lazy deletion validates the age).
-
-Columns whose consumers include the optional C select kernel (issue
-flags, squash flags, port classes) are ``bytearray``s — as fast as lists
-to index from CPython, and directly shareable with C via
-``ffi.from_buffer`` without a copy.  The ``age`` column is additionally
-mirrored into a cffi ``int64`` buffer when a kernel is attached (built
-and rebuilt by the kernel's ``rebind``, kept in sync by the engine).
-
-These columns are also the marshalling layout of the whole-loop
-compiled engine (:mod:`repro.core.cloop`): its C kernel copies the
-:class:`TraceSoA` columns into C arrays once per context and runs the
-entire cycle loop over the same slot-pool representation, so the data
-model defined here is shared by every batched backend, interpreted or
-compiled.
+The ``vectorized`` engine reads these columns at fetch.  The whole-loop
+compiled engine (:mod:`repro.core.cloop`) copies them into C arrays once
+per context and runs the cycle loop over a slot pool of in-flight uops
+whose age-ordered structures hold packed ``(age << SLOT_BITS) | slot``
+keys, so a recycled slot can never be mistaken for its previous
+occupant.
 """
 
 from __future__ import annotations
@@ -48,15 +32,10 @@ from repro.isa.uops import PORT_CLASS_TABLE
 from repro.trace.trace import Trace
 
 _BRANCH = int(UopClass.BRANCH)
-_LOAD = int(UopClass.LOAD)
-_STORE = int(UopClass.STORE)
 
 #: bits of a packed reference key reserved for the slot index; the high
 #: bits carry the uop age, so keys sort by age and decode to (age, slot)
 SLOT_BITS = 20
-SLOT_MASK = (1 << SLOT_BITS) - 1
-#: hard ceiling on pool size implied by the key layout
-MAX_SLOTS = 1 << SLOT_BITS
 
 
 class TraceSoA:
@@ -68,11 +47,9 @@ class TraceSoA:
         appends these uops with zero per-record control flow.
     ``next_slow``
         for each index, the first index at or after it whose record is
-        *not* plain (``n`` when no such record exists).  Lets the slot
-        engines append a whole plain run to the fetch queue as one
-        ``deque.extend(range(...))`` instead of a per-record loop.
-    ``is_mem``
-        loads and stores (MOB-allocating classes).
+        *not* plain (``n`` when no such record exists).  Lets the C
+        kernel's fetch append a whole plain run to the fetch queue at
+        once instead of a per-record loop.
     ``dest_class``
         register class the destination would allocate (0=int, 1=fp;
         meaningless where ``dest`` is ``NO_REG``).
@@ -81,7 +58,7 @@ class TraceSoA:
         bulk).
     """
 
-    __slots__ = ("n", "plain", "next_slow", "is_mem", "dest_class", "port_class")
+    __slots__ = ("n", "plain", "next_slow", "dest_class", "port_class")
 
     def __init__(self, trace: Trace) -> None:
         rec = trace.records
@@ -96,7 +73,6 @@ class TraceSoA:
         self.plain = (~slow).tolist()
         idx = np.where(slow, np.arange(n, dtype=np.int64), n)
         self.next_slow = np.minimum.accumulate(idx[::-1])[::-1].tolist()
-        self.is_mem = ((opclass == _LOAD) | (opclass == _STORE)).tolist()
         self.dest_class = (rec["dest"] >= NUM_ARCH_INT).astype(np.uint8).tolist()
         self.port_class = (
             np.asarray(PORT_CLASS_TABLE, dtype=np.uint8)[opclass].tolist()
@@ -125,154 +101,9 @@ def thread_mem_lines(trace: Trace, mem_offset: int) -> list[int]:
 
 def trace_latencies(trace: Trace, latency_table) -> list[int]:
     """Per-record base execution latency (``latency_table[opclass]`` in
-    bulk).  Config-dependent, so cached by the engine, not the trace."""
+    bulk).  Config-dependent, so computed per machine, not cached on the
+    trace."""
     return (
         np.asarray(latency_table, dtype=np.int64)[trace.records["opclass"]]
         .tolist()
     )
-
-
-class PipelineSoA:
-    """Recycled slot pool holding every in-flight uop of one simulation.
-
-    One slot is one uop from fetch until commit or squash.  Static fields
-    are written at fetch (bulk-precomputed columns where the record is on
-    the right path), dynamic fields at rename/dispatch.  Lists hold the
-    scalar-hot integer columns; ``bytearray`` holds the flag/class
-    columns the optional C select kernel also reads.
-
-    Slot lifetime discipline (what makes recycling sound):
-
-    * slots are freed at commit (no lazy references can remain — an uop
-      only commits after its event-wheel entry popped, and its single
-      ready-structure entry popped when it issued) and at squash;
-    * structures that drop entries lazily (ready heaps, deferred lists,
-      the event wheel, the interconnect) store packed
-      ``(age << SLOT_BITS) | slot`` keys.  ``alloc`` resets ``age`` to
-      ``-1`` and rename assigns a globally unique age, so a stale key
-      never validates against a recycled slot (``age[slot] != key_age``);
-      a freed-but-not-yet-recycled slot still carries ``squashed == 1``;
-    * the rename-stall memo survives squashes via the per-slot ``gen``
-      counter, bumped on every allocation.
-    """
-
-    __slots__ = (
-        "capacity",
-        "free_slots",
-        # -- static per-uop fields (written at fetch / copy creation)
-        "opclass",
-        "dest",
-        "src1",
-        "src2",
-        "seq",
-        "mem_line",
-        "lat",
-        "dest_class",
-        "pcls",
-        "wrong_path",
-        "tid",
-        # -- dynamic per-uop fields (rename/dispatch/issue/writeback)
-        "age",
-        "gen",
-        "cluster",
-        "pref",
-        "phys_dest",
-        "prev_phys",
-        "prev_phys_cl",
-        "prev_replica",
-        "wait_count",
-        "mob_index",
-        "wait0",
-        "wait1",
-        "issued",
-        "squashed",
-        "done",
-        "misp",
-        "orphan",
-        # -- register waiter lists: [cluster][regclass] -> {phys: [slot]}
-        "waiters",
-        # -- optional C-kernel mirror of ``age`` (int64, None when pure)
-        "cages",
-    )
-
-    def __init__(self, capacity: int) -> None:
-        if capacity > MAX_SLOTS:
-            raise ValueError(
-                f"pipeline pool of {capacity} slots exceeds the "
-                f"{MAX_SLOTS}-slot packed-key limit"
-            )
-        self.capacity = capacity
-        # LIFO recycling keeps the working set of slots small and cached
-        self.free_slots = list(range(capacity - 1, -1, -1))
-        zeros = [0] * capacity
-        self.opclass = list(zeros)
-        self.dest = list(zeros)
-        self.src1 = list(zeros)
-        self.src2 = list(zeros)
-        self.seq = list(zeros)
-        self.mem_line = list(zeros)
-        self.lat = list(zeros)
-        self.tid = list(zeros)
-        self.dest_class = bytearray(capacity)
-        self.pcls = bytearray(capacity)
-        self.wrong_path = bytearray(capacity)
-        self.age = [-1] * capacity
-        self.gen = list(zeros)
-        self.cluster = list(zeros)
-        self.pref = list(zeros)
-        self.phys_dest = list(zeros)
-        self.prev_phys = list(zeros)
-        self.prev_phys_cl = list(zeros)
-        self.prev_replica = list(zeros)
-        self.wait_count = list(zeros)
-        self.mob_index = [-1] * capacity
-        self.wait0 = [-1] * capacity
-        self.wait1 = [-1] * capacity
-        self.issued = bytearray(capacity)
-        self.squashed = bytearray(capacity)
-        self.done = bytearray(capacity)
-        self.misp = bytearray(capacity)
-        # a copy uop retired from its thread's in-flight list before its
-        # inter-cluster transfer delivered; the slot is freed at delivery
-        self.orphan = bytearray(capacity)
-        self.waiters = (({}, {}), ({}, {}))
-        self.cages = None
-
-    def grow(self) -> None:
-        """Double the pool (unbounded machines / deep speculation only).
-
-        Any attached C kernel must re-derive its buffer pointers after a
-        grow (the flag bytearrays are reallocated, not extended, because
-        a pinned ``from_buffer`` view forbids in-place resize) — the
-        engine calls its kernel's ``rebind`` after calling this.
-        """
-        old = self.capacity
-        new = old * 2
-        if new > MAX_SLOTS:
-            raise RuntimeError(
-                f"pipeline pool cannot grow past {MAX_SLOTS} slots"
-            )
-        self.capacity = new
-        self.free_slots.extend(range(new - 1, old - 1, -1))
-        extra = new - old
-        zeros = [0] * extra
-        for name in (
-            "opclass", "dest", "src1", "src2", "seq", "mem_line", "lat",
-            "tid", "gen", "cluster", "pref", "phys_dest", "prev_phys",
-            "prev_phys_cl", "prev_replica", "wait_count",
-        ):
-            getattr(self, name).extend(zeros)
-        self.age.extend([-1] * extra)
-        self.mob_index.extend([-1] * extra)
-        self.wait0.extend([-1] * extra)
-        self.wait1.extend([-1] * extra)
-        for name in ("dest_class", "pcls", "wrong_path", "issued",
-                     "squashed", "done", "misp", "orphan"):
-            # reallocate: extend() would raise if a C view pins the buffer
-            setattr(self, name, getattr(self, name) + bytes(extra))
-        # ``cages`` (if attached) is NOT regrown here: the kernel's
-        # rebind() rebuilds it from the authoritative ``age`` column.
-
-    def live_slots(self) -> int:
-        """Slots currently allocated (tests/diagnostics)."""
-        return self.capacity - len(self.free_slots)

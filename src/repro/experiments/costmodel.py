@@ -68,19 +68,15 @@ FF_FACTOR = {"mem": 0.75, "mix": 0.85, "st": 0.95, "ilp": 1.0}
 
 #: Cycle-engine multipliers: the flattened SoA engine runs the same
 #: simulation in roughly half the time of the reference interpreter
-#: (see benchmarks/results/engine_speed.json).  The batched slot-pool
-#: engine ("numpy") lands slightly behind vectorized on short-queue ILP
-#: runs and roughly even on stall-heavy ones; the compiled kernel
-#: ("compiled") recovers the gap where ready-queue scans dominate; the
-#: whole-loop kernel ("cloop") amortizes the FFI boundary over the whole
-#: run and lands well under the others (construction/marshal is most of
-#: what remains).  Calibration refines this per bucket; only the
-#: relative order matters for LPT.
+#: (see benchmarks/results/engine_speed.json); the whole-loop kernel
+#: ("cloop") amortizes the FFI boundary over the whole run and lands
+#: well under it (construction/marshal is most of what remains).
+#: Policies outside the C policy table run on vectorized under cloop
+#: and are priced at its rate.  Calibration refines this per bucket;
+#: only the relative order matters for LPT.
 BACKEND_FACTOR = {
     "reference": 1.0,
     "vectorized": 0.55,
-    "numpy": 0.60,
-    "compiled": 0.58,
     "cloop": 0.15,
 }
 
@@ -216,6 +212,11 @@ class CostModel:
 
     @staticmethod
     def _prior(policy: str, kind: str, ff: bool, backend: str) -> float:
+        if backend == "cloop":
+            from repro.core.cloop import in_c_table
+
+            if not in_c_table(policy):
+                backend = "vectorized"
         rate = (
             BASE_RATE
             * KIND_FACTOR.get(kind, 1.2)

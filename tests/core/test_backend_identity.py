@@ -2,12 +2,11 @@
 
 The fast engines re-implement the cycle loop — ``vectorized`` as one
 flattened function over structure-of-arrays trace columns
-(:mod:`repro.core.vectorized`), ``numpy`` as the batched slot-pool engine
-(:mod:`repro.core.npengine`), ``compiled`` as the slot-pool engine with a
-cffi-compiled wakeup/select kernel (:mod:`repro.core.ckernel`).  Their
-shared contract is that *nothing observable changes*: every stats
-counter, every telemetry artifact byte, under every policy, with
-fast-forward on or off.  These tests are the gate on that contract — the
+(:mod:`repro.core.vectorized`), ``cloop`` as the whole loop in one
+cffi-compiled C kernel (:mod:`repro.core.cloop`).  Their shared
+contract is that *nothing observable changes*: every stats counter,
+every telemetry artifact byte, under every policy, with fast-forward on
+or off.  These tests are the gate on that contract — the
 same pattern the fast-forward identity suite pins for step-vs-jump,
 applied across the backend seam.
 
@@ -107,7 +106,7 @@ def test_bit_identical_telemetry(config, policy, ff, mem_trace, ilp_trace_b, tmp
 @pytest.mark.parametrize("backend", [b for b in ALT_BACKENDS if b != "vectorized"])
 def test_telemetry_delegation_identical(config, backend, mem_trace, ilp_trace_b,
                                         tmp_path):
-    """The slot-pool engines serve telemetry runs through their envelope
+    """The compiled engine serves telemetry runs through its envelope
     seam (delegating to the flattened engine); the artifacts must still be
     byte-identical to the oracle's."""
     traces = [mem_trace, ilp_trace_b]
@@ -204,22 +203,23 @@ def test_identical_unbounded_machine(unbounded_config, backend, ilp_trace, mem_t
 @pytest.mark.parametrize("backend", ALT_BACKENDS)
 def test_identical_under_pool_growth(config, backend, monkeypatch, ilp_trace,
                                      mem_trace):
-    """A deliberately tiny slot pool forces mid-run grow()/kernel-rebind
-    cycles; results must not depend on pool capacity."""
-    from repro.core import npengine
+    """A deliberately tiny slot pool forces the C kernel to grow its pool
+    mid-run; results must not depend on pool capacity."""
+    from repro.core import cloop
 
-    monkeypatch.setattr(npengine.NumpyProcessor, "_pool_capacity", lambda self: 64)
+    monkeypatch.setattr(cloop._CloopContext, "_pool_capacity",
+                        staticmethod(lambda proc: 64))
     traces = [ilp_trace, mem_trace]
     ref = _ref("stats|icount|True", config, "icount", traces, True)
     got = _run(config, "icount", traces, backend, True)
     _assert_identical(ref, got)
 
 
-@pytest.mark.parametrize("backend", ["compiled", "cloop"])
+@pytest.mark.parametrize("backend", ["cloop"])
 def test_identical_without_compiled_kernel(config, monkeypatch, ilp_trace, mem_trace,
                                            backend):
-    """``REPRO_NO_CKERNEL`` forces the kernel-backed backends onto their
-    pure fallbacks; behaviour must not change."""
+    """``REPRO_NO_CKERNEL`` forces the kernel-backed backend onto its
+    pure fallback; behaviour must not change."""
     traces = [ilp_trace, mem_trace]
     ref = _ref("stats|icount|True", config, "icount", traces, True)
     monkeypatch.setenv("REPRO_NO_CKERNEL", "1")

@@ -69,6 +69,18 @@ def test_processor_classes():
     assert issubclass(VectorizedProcessor, Processor)
 
 
+def test_registry_shape():
+    """One oracle, one pure fallback, one compiled engine (the default),
+    which falls back onto the pure engine it subclasses."""
+    from repro.core.cloop import CloopProcessor
+    from repro.core.vectorized import VectorizedProcessor
+
+    assert BACKENDS == ("reference", "vectorized", "cloop")
+    assert DEFAULT_BACKEND == "cloop"
+    assert processor_class("cloop") is CloopProcessor
+    assert CloopProcessor.__mro__[1] is VectorizedProcessor
+
+
 def test_make_processor_resolves_env(monkeypatch, config, ilp_trace, ilp_trace_b):
     from repro.policies import make_policy
 

@@ -7,9 +7,9 @@ typed exit reasons, exact cycle bounds, exit tallies, observable-state
 export at every boundary, sticky mid-run fallback — independent of the
 cross-backend identity suite (which pins *what* the regions compute).
 
-Everything here must hold with and without the toolchain: the pure
-fallback implements the same region API through the inherited engines,
-so each test also runs under ``REPRO_NO_CKERNEL``.
+Everything here must hold with and without the toolchain: the
+``vectorized`` fallback implements the same region API through the
+inherited engine, so each test also runs under ``REPRO_NO_CKERNEL``.
 """
 
 from __future__ import annotations
@@ -17,8 +17,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.backends import make_processor
-from repro.core.cloop import REGION_DONE, REGION_LIMIT, CloopProcessor
-from repro.policies import make_policy
+from repro.core.ckernel import kernel_unavailable_reason
+from repro.core.cloop import REGION_DONE, REGION_LIMIT, CloopProcessor, in_c_table
+from repro.policies import POLICY_NAMES, make_policy
 
 
 def _proc(config, traces, policy="icount", **kw):
@@ -30,6 +31,10 @@ def mode(request, monkeypatch):
     """Run each test twice: resident C kernel and pure fallback."""
     if request.param == "fallback":
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
+    else:
+        reason = kernel_unavailable_reason()
+        if reason is not None:
+            pytest.skip(f"C kernel unavailable: {reason}")
     return request.param
 
 
@@ -110,8 +115,8 @@ def test_fallback_reports_reason(config, ilp_trace, mem_trace, monkeypatch):
 
 
 def test_non_c_policy_delegates(config, ilp_trace, mem_trace):
-    """Policies outside the C table run through the inherited chain; the
-    region API still honours its contract there."""
+    """Policies outside the C table run on the inherited ``vectorized``
+    engine; the region API still honours its contract there."""
     proc = _proc(config, [ilp_trace, mem_trace], policy="cdprf")
     assert isinstance(proc, CloopProcessor)
     assert not proc._cloop_ok
@@ -138,4 +143,48 @@ def test_kernel_active_reflects_mode(config, ilp_trace, mem_trace, mode):
         assert active
         assert proc._cl is not None
     else:
+        assert active is False
         assert proc._cl is None
+
+
+#: the policies the C policy table implements
+_C_TABLE = {"icount", "cisp", "cssp", "cspsp", "pc"}
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_kernel_active_exactly_for_c_table(config, ilp_trace, mem_trace, mode,
+                                           policy):
+    """``kernel_active()`` attributes a simulation to C exactly when its
+    policy is in the C policy table (and the kernel is available)."""
+    proc = _proc(config, [ilp_trace, mem_trace], policy=policy)
+    assert proc.kernel_active() is (mode == "kernel" and policy in _C_TABLE)
+    assert in_c_table(policy) is (policy in _C_TABLE)
+
+
+def test_failed_build_is_remembered(config, ilp_trace, mem_trace, monkeypatch):
+    """A failed kernel build runs the compiler once per process: later
+    machines fall back without retrying, and the availability notes name
+    the reason."""
+    from repro.core import ckernel
+    from repro.core.backends import optional_backend_notes
+
+    if ckernel._find_compiler() is None:
+        pytest.skip("no C compiler: the probe never reaches the build")
+    pytest.importorskip("cffi")
+    monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
+    monkeypatch.setattr(ckernel, "_loaded", {})
+    monkeypatch.setattr(ckernel, "_load_failure", None)
+    attempts = []
+
+    def failing_build(source, stem):
+        attempts.append(stem)
+        raise RuntimeError("compiler exploded")
+
+    monkeypatch.setattr(ckernel, "build_shared_lib", failing_build)
+    for _ in range(3):
+        proc = _proc(config, [ilp_trace, mem_trace])
+        assert proc.kernel_active() is False
+        assert "compiler exploded" in proc._cl_error
+    assert attempts == ["repro_cloop"]
+    assert "compiler exploded" in ckernel.kernel_unavailable_reason()
+    assert "compiler exploded" in optional_backend_notes()["cloop"]

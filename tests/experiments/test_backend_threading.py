@@ -20,6 +20,7 @@ import pytest
 from repro.core.backends import DEFAULT_BACKEND
 from repro.experiments import costmodel, parallel
 from repro.experiments.runner import SCALES, ExperimentRunner, figure2_config
+from repro.policies import POLICY_NAMES
 from repro.trace.workloads import build_pool
 
 
@@ -96,6 +97,21 @@ def test_cost_model_buckets_split_by_backend():
     assert model.rate(
         "icount", item.workload.wtype, True, "reference"
     ) == pytest.approx(ref_before)
+
+
+@pytest.mark.parametrize("policy", POLICY_NAMES)
+def test_cost_model_prices_cloop_by_engine_that_runs(policy):
+    """Under ``cloop`` only the C-table policies run in C; the rest run on
+    vectorized and are priced at its prior, not the kernel's."""
+    from repro.core.cloop import in_c_table
+
+    model = costmodel.CostModel()
+    cloop = model.rate(policy, "mem", True, "cloop")
+    vec = model.rate(policy, "mem", True, "vectorized")
+    if in_c_table(policy):
+        assert cloop < vec
+    else:
+        assert cloop == vec
 
 
 def test_cost_model_migrates_legacy_keys_to_reference(tmp_path):
