@@ -31,9 +31,9 @@ import tempfile
 _ENV_DISABLE = "REPRO_NO_CKERNEL"
 _ENV_CACHE = "REPRO_CKERNEL_CACHE"
 
-#: ``(stem, source) -> (lib, ffi)``: the build is cached on disk, but
-#: cdef + dlopen still cost ~ms per call
-_loaded: dict[tuple[str, str], tuple] = {}
+#: the loaded kernel's ``(lib, ffi)`` (``None`` = not loaded yet): the
+#: build is cached on disk, but cdef + dlopen still cost ~ms per call
+_loaded: tuple | None = None
 
 #: why the first failed build/load of this process failed (``None`` =
 #: no failure yet); reported by :func:`kernel_unavailable_reason`
@@ -50,14 +50,11 @@ def _find_compiler() -> str | None:
     return None
 
 
-def kernel_unavailable_reason() -> str | None:
-    """Why the compiled kernel would NOT be used right now (``None`` =
-    available).  Cheap: probes the toolchain and the remembered build
-    failure, never builds."""
+def _toolchain_reason() -> str | None:
+    """Why no build would even be attempted (``None`` = the env override
+    is unset and cffi and a C compiler are present)."""
     if os.environ.get(_ENV_DISABLE):
         return f"{_ENV_DISABLE} is set"
-    if _load_failure is not None:
-        return _load_failure
     try:
         import cffi  # noqa: F401
     except ImportError:
@@ -65,6 +62,13 @@ def kernel_unavailable_reason() -> str | None:
     if _find_compiler() is None:
         return "no C compiler (cc/gcc/clang) on PATH"
     return None
+
+
+def kernel_unavailable_reason() -> str | None:
+    """Why the compiled kernel would NOT be used right now (``None`` =
+    available).  Cheap: probes the toolchain and the remembered build
+    failure, never builds."""
+    return _toolchain_reason() or _load_failure
 
 
 def _cache_dir() -> str:
@@ -145,7 +149,7 @@ def build_shared_lib(source: str, stem: str) -> str:
 
 
 def load_shared_lib(source: str, cdef: str, stem: str):
-    """Build (or reuse) and dlopen a kernel; returns ``(lib, ffi)``.
+    """Build (or reuse) and dlopen the kernel; returns ``(lib, ffi)``.
 
     Raises ``RuntimeError`` with a human-readable reason on any failure
     (no cffi, no compiler, compile error).  The first failure is
@@ -153,13 +157,11 @@ def load_shared_lib(source: str, cdef: str, stem: str):
     without rebuilding, and :func:`kernel_unavailable_reason` reports
     it, so callers fall back to the pure engine without retrying.
     """
-    global _load_failure
+    global _loaded, _load_failure
     if _load_failure is not None:
         raise RuntimeError(_load_failure)
-    key = (stem, source)
-    got = _loaded.get(key)
-    if got is not None:
-        return got
+    if _loaded is not None:
+        return _loaded
     try:
         import cffi
 
@@ -175,5 +177,5 @@ def load_shared_lib(source: str, cdef: str, stem: str):
             reason = f"kernel build failed: {exc}"
         _load_failure = reason
         raise RuntimeError(reason) from exc
-    _loaded[key] = (lib, ffi)
-    return lib, ffi
+    _loaded = (lib, ffi)
+    return _loaded

@@ -93,6 +93,7 @@ def in_c_table(policy: str) -> bool:
     except KeyError:
         return False
 
+
 _STOP_CODES = {"first_done": 0, "all_done": 1, "cycles": 2}
 
 #: rename-stall causes, in the kernel's integer encoding

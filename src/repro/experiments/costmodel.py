@@ -213,9 +213,11 @@ class CostModel:
     @staticmethod
     def _prior(policy: str, kind: str, ff: bool, backend: str) -> float:
         if backend == "cloop":
+            from repro.core.ckernel import kernel_unavailable_reason
             from repro.core.cloop import in_c_table
 
-            if not in_c_table(policy):
+            # cloop runs on vectorized outside the C table or without C
+            if not in_c_table(policy) or kernel_unavailable_reason() is not None:
                 backend = "vectorized"
         rate = (
             BASE_RATE

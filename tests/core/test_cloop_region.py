@@ -17,7 +17,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.backends import make_processor
-from repro.core.ckernel import kernel_unavailable_reason
+from repro.core import ckernel
 from repro.core.cloop import REGION_DONE, REGION_LIMIT, CloopProcessor, in_c_table
 from repro.policies import POLICY_NAMES, make_policy
 
@@ -32,7 +32,10 @@ def mode(request, monkeypatch):
     if request.param == "fallback":
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
     else:
-        reason = kernel_unavailable_reason()
+        # only a missing toolchain (or the env override) skips: a kernel
+        # that fails to build must fail the kernel leg, not hide behind
+        # the bit-identical fallback
+        reason = ckernel._toolchain_reason()
         if reason is not None:
             pytest.skip(f"C kernel unavailable: {reason}")
     return request.param
@@ -165,14 +168,13 @@ def test_failed_build_is_remembered(config, ilp_trace, mem_trace, monkeypatch):
     """A failed kernel build runs the compiler once per process: later
     machines fall back without retrying, and the availability notes name
     the reason."""
-    from repro.core import ckernel
     from repro.core.backends import optional_backend_notes
 
-    if ckernel._find_compiler() is None:
-        pytest.skip("no C compiler: the probe never reaches the build")
-    pytest.importorskip("cffi")
     monkeypatch.delenv("REPRO_NO_CKERNEL", raising=False)
-    monkeypatch.setattr(ckernel, "_loaded", {})
+    reason = ckernel._toolchain_reason()
+    if reason is not None:
+        pytest.skip(f"the probe never reaches the build: {reason}")
+    monkeypatch.setattr(ckernel, "_loaded", None)
     monkeypatch.setattr(ckernel, "_load_failure", None)
     attempts = []
 

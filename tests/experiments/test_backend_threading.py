@@ -100,15 +100,20 @@ def test_cost_model_buckets_split_by_backend():
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
-def test_cost_model_prices_cloop_by_engine_that_runs(policy):
-    """Under ``cloop`` only the C-table policies run in C; the rest run on
-    vectorized and are priced at its prior, not the kernel's."""
+@pytest.mark.parametrize("no_kernel", [False, True], ids=["kernel", "no-kernel"])
+def test_cost_model_prices_cloop_by_engine_that_runs(policy, no_kernel, monkeypatch):
+    """Under ``cloop`` only the C-table policies run in C, and only when
+    the kernel is available; the rest run on vectorized and are priced at
+    its prior, not the kernel's."""
+    from repro.core.ckernel import kernel_unavailable_reason
     from repro.core.cloop import in_c_table
 
+    if no_kernel:
+        monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
     model = costmodel.CostModel()
     cloop = model.rate(policy, "mem", True, "cloop")
     vec = model.rate(policy, "mem", True, "vectorized")
-    if in_c_table(policy):
+    if in_c_table(policy) and kernel_unavailable_reason() is None:
         assert cloop < vec
     else:
         assert cloop == vec
