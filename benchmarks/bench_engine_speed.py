@@ -8,6 +8,7 @@ regressions) are recorded next to the figure outputs.
 """
 
 import json
+import time
 
 import pytest
 
@@ -371,7 +372,7 @@ def bench_sweep_smoke_jobs1(benchmark, speed_log):
 
 
 def bench_sweep_smoke_jobs4(benchmark, speed_log):
-    """The sweep engine at jobs=4: persistent pool, shm traces, LPT.
+    """The sweep engine at jobs=4: persistent pool, cached traces, LPT.
 
     The first round pays worker spawn; later rounds reuse the warm pool,
     so the mean reflects steady-state sweep cost.  On a single-core host
@@ -397,8 +398,8 @@ def bench_sweep_smoke_jobs4(benchmark, speed_log):
 
 def bench_sweep_fifo_jobs4(benchmark, speed_log):
     """The scheme this engine replaced: a fresh pool per sweep, FIFO
-    submission of every item at once, no shared-memory traces (each worker
-    rebuilds from seeds).  The ratio to ``sweep_smoke_jobs4`` is the
+    submission of every item at once, no warm trace memos (each fresh
+    worker reloads its traces).  The ratio to ``sweep_smoke_jobs4`` is the
     engine's win at equal job count."""
     from concurrent.futures import ProcessPoolExecutor, as_completed
 
@@ -413,11 +414,15 @@ def bench_sweep_fifo_jobs4(benchmark, speed_log):
         items = parallel.sweep_items(
             runner, config, _SWEEP_POLICIES, list(pool)
         )
+        t0 = time.perf_counter()
         with ProcessPoolExecutor(max_workers=4) as ex:
-            futs = [ex.submit(parallel._run_item, it, None) for it in items]
+            futs = {ex.submit(parallel._run_item, it): it for it in items}
             for fut in as_completed(futs):
-                key, rec, _seconds, _pid = fut.result()
-                runner._cache_put(key, rec)
+                _key, rec, seconds, pid = fut.result()
+                parallel.merge_result(
+                    runner, futs[fut], rec, seconds, pid,
+                    label="fifo", predicted_s=0.0, t_submit=t0,
+                )
         return len(runner.sweep(config, _SWEEP_POLICIES))
 
     n = benchmark.pedantic(run, rounds=3, iterations=1)

@@ -39,6 +39,8 @@ import tempfile
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from repro.core.simulator import fast_forward_default
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.parallel import WorkItem
 
@@ -90,17 +92,6 @@ _UNKNOWN_BACKEND_FACTOR = BACKEND_FACTOR["vectorized"]
 ALPHA = 0.4
 
 
-def ff_default() -> bool:
-    """The fast-forward setting a ``fast_forward=None`` item resolves to
-    (mirrors :func:`repro.core.simulator`'s ``REPRO_FF`` handling)."""
-    return os.environ.get("REPRO_FF", "").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
 def default_path() -> Path | None:
     """Where calibration persists, or ``None`` when disabled."""
     env = os.environ.get(_ENV_VAR)
@@ -127,7 +118,11 @@ def item_features(item: "WorkItem") -> tuple[str, str, bool, str, int]:
         assert item.workload is not None
         kind = item.workload.wtype
         uops = sum(t.n_uops for t in item.workload.traces)
-    ff = ff_default() if item.fast_forward is None else bool(item.fast_forward)
+    ff = (
+        fast_forward_default()
+        if item.fast_forward is None
+        else bool(item.fast_forward)
+    )
     backend = item.backend if item.backend is not None else resolve_backend()
     return item.policy, kind, ff, backend, uops
 

@@ -12,16 +12,15 @@ The engine has four moving parts:
 * **Persistent, lazily-spawned worker pool.**  One
   :class:`~concurrent.futures.ProcessPoolExecutor` is shared by every
   ``run_items`` call of the process — across sweeps, figure drivers and
-  benchmark rounds — so workers keep their warm per-scale
-  :class:`ExperimentRunner` and memoized traces.  The pool grows on demand
-  (a larger ``jobs=`` respawns it bigger; a smaller one reuses it) and is
-  torn down by :func:`shutdown` or at interpreter exit.
-* **Zero-copy trace distribution** (:mod:`repro.experiments.shm`).  The
-  parent publishes each distinct trace's record array once into a
-  shared-memory segment; workers map it instead of re-synthesizing or
-  re-deserializing.  Any failure falls back to the original scheme:
-  the :class:`TraceSpec` travels with the item and the worker regenerates
-  the trace from its seed (bit-identical, just slower).
+  benchmark rounds — so workers keep their memoized traces.  The pool
+  grows on demand (a larger ``jobs=`` respawns it bigger; a smaller one
+  reuses it) and is torn down by :func:`shutdown` or at interpreter exit.
+* **Traces from the trace cache.**  A work item carries only the seed-level
+  :class:`TraceSpec` of its traces; the worker rebuilds each one through
+  :func:`repro.trace.synthesis.generate_trace`, which maps the entry the
+  parent wrote to the on-disk trace cache when it built its pool.  Only
+  with that cache disabled or unwritable does a worker re-synthesize from
+  the seed (bit-identical, just slower).
 * **Cost-modeled scheduling** (:mod:`repro.experiments.costmodel`).
   Cache-missing items are dispatched longest-expected-first (LPT) through
   a bounded in-flight window: idle workers pull the next-longest pending
@@ -35,9 +34,11 @@ The engine has four moving parts:
 
 This module is the **local executor**; :mod:`repro.fabric` generalizes it
 into a pluggable layer whose ``tcp`` executor leases the same
-:class:`WorkItem` units to remote workers over a socket protocol, sharing
-this module's cost model, dedup (:func:`split_items`), worker entry point
-(:func:`_run_item`) and cache/journal merge path.
+:class:`WorkItem` units to remote workers over a socket protocol.  Every
+dispatcher — local pool, tcp hub and the HTTP service — shares this
+module's dedup (:func:`split_items`), worker entry point
+(:func:`_run_item`) and result merge (:func:`merge_result`); the local
+pool and the tcp hub also share the per-sweep bookkeeping (:class:`_Sweep`).
 
 Scheduling and pooling never affect *what* is computed: workers run the
 same ``run``/``run_single`` entry points the serial path uses, and the
@@ -59,6 +60,7 @@ so sweep behaviour is observable after the fact.
 from __future__ import annotations
 
 import atexit
+import json
 import os
 import sys
 import time
@@ -66,10 +68,10 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.config import ProcessorConfig
-from repro.experiments import costmodel, shm
+from repro.experiments import costmodel
 from repro.telemetry import TelemetryConfig
 from repro.trace.categories import WorkloadType, category_profile
 from repro.trace.synthesis import generate_trace
@@ -77,7 +79,7 @@ from repro.trace.trace import Trace
 from repro.trace.workloads import Workload
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.experiments.runner import ExperimentRunner, RunKey, Scale
+    from repro.experiments.runner import ExperimentRunner, RunKey, RunRecord, Scale
 
 
 def resolve_jobs(jobs: int | None = None, default: int | None = None) -> int:
@@ -200,73 +202,49 @@ class WorkItem:
     #: affects scheduling records and wall-clock only, never results.
     backend: str | None = None
 
-    def specs(self) -> tuple[TraceSpec, ...]:
-        """The trace specs this item touches (for shared-memory lookup)."""
-        if self.single is not None:
-            return (self.single,)
-        assert self.workload is not None
-        return self.workload.traces
-
 
 # --------------------------------------------------------------------------- #
-# Worker side: per-process memoization                                        #
+# Worker side                                                                 #
 # --------------------------------------------------------------------------- #
 
 _worker_traces: dict[TraceSpec, Trace] = {}
-_worker_runners: dict["Scale", "ExperimentRunner"] = {}
 
 
-def _worker_trace(spec: TraceSpec, shm_name: str | None = None) -> Trace:
+def _worker_trace(spec: TraceSpec) -> Trace:
+    """The trace for ``spec``, memoized for the life of the process.
+
+    :meth:`TraceSpec.build` maps the trace-cache entry the parent wrote
+    when it built its pool; it re-synthesizes from the seed only when the
+    cache is disabled or unwritable.
+    """
     tr = _worker_traces.get(spec)
-    if tr is not None:
-        return tr
-    records = shm.attach(shm_name, spec.n_uops) if shm_name else None
-    if records is not None:
-        # zero-copy: wrap the parent's published bytes directly
-        tr = Trace(
-            records,
-            name=spec.name,
-            category=spec.category,
-            kind=spec.kind,
-            seed=spec.seed,
-        )
-    else:
-        tr = spec.build()  # fallback: regenerate from the seed
-    _worker_traces[spec] = tr
+    if tr is None:
+        tr = _worker_traces[spec] = spec.build()
     return tr
 
 
-def _worker_runner(scale: "Scale") -> "ExperimentRunner":
-    runner = _worker_runners.get(scale)
-    if runner is None:
-        from repro.experiments.runner import ExperimentRunner
-
-        runner = _worker_runners[scale] = ExperimentRunner(scale, cache_dir=None)
-    return runner
-
-
-def _run_item(item: WorkItem, shm_names: dict[TraceSpec, str] | None = None):
+def _run_item(item: WorkItem):
     """Worker entry point: run one simulation.
 
-    Returns ``(key, record, seconds, worker_pid)`` — the timing feeds the
-    parent's cost model, the PID its scheduling log.
+    The runner is built from the item's fields on every call and has no
+    cache directory, so a long-lived worker keeps no records between
+    items.  Returns ``(key, record, seconds, worker_pid)`` — the timing
+    feeds the parent's cost model, the PID its scheduling log.
     """
-    from pathlib import Path
+    from repro.experiments.runner import ExperimentRunner
 
     t0 = time.perf_counter()
-    names = shm_names or {}
-    runner = _worker_runner(item.scale)
-    # telemetry settings travel per item (the memoized runner is shared by
-    # items from different sweeps, so both fields are assigned every time)
-    runner.telemetry_dir = Path(item.telemetry_dir) if item.telemetry_dir else None
-    runner.telemetry_config = item.telemetry
-    runner.fast_forward = item.fast_forward
-    if item.backend is not None:
-        runner.backend = item.backend
+    runner = ExperimentRunner(
+        item.scale,
+        jobs=1,
+        telemetry_dir=item.telemetry_dir,
+        telemetry=item.telemetry,
+        fast_forward=item.fast_forward,
+        backend=item.backend,
+        executor="local",
+    )
     if item.single is not None:
-        rec = runner.run_single(
-            item.config, _worker_trace(item.single, names.get(item.single))
-        )
+        rec = runner.run_single(item.config, _worker_trace(item.single))
     else:
         assert item.workload is not None
         spec = item.workload
@@ -274,7 +252,7 @@ def _run_item(item: WorkItem, shm_names: dict[TraceSpec, str] | None = None):
             name=spec.name,
             category=spec.category,
             wtype=WorkloadType(spec.wtype),
-            traces=tuple(_worker_trace(s, names.get(s)) for s in spec.traces),
+            traces=tuple(_worker_trace(s) for s in spec.traces),
         )
         rec = runner.run(item.config, item.policy, workload, stop=item.stop)
     return item.key, rec, time.perf_counter() - t0, os.getpid()
@@ -303,7 +281,7 @@ def _get_executor(jobs: int) -> ProcessPoolExecutor:
     Workers are spawned lazily by the executor as items are submitted, so
     asking for a large pool costs nothing until the work arrives; keeping
     a larger-than-needed pool alive costs idle processes but preserves
-    their warm trace/runner caches, which is the point.
+    their warm trace memos, which is the point.
     """
     global _executor, _executor_jobs, _atexit_registered
     if _executor is not None and jobs > _executor_jobs:
@@ -318,7 +296,7 @@ def _get_executor(jobs: int) -> ProcessPoolExecutor:
 
 
 def shutdown() -> None:
-    """Tear down the worker pool and release shared-memory segments.
+    """Tear down the worker pool and persist the cost model.
 
     Safe to call repeatedly; also runs at interpreter exit.  The next
     ``run_items`` call simply builds a fresh pool.
@@ -328,7 +306,6 @@ def shutdown() -> None:
         _executor.shutdown(wait=True)
         _executor = None
         _executor_jobs = 0
-    shm.release_all()
     if _cost_model is not None:
         _cost_model.save()
 
@@ -423,6 +400,165 @@ def _is_complete(runner: "ExperimentRunner", item: WorkItem) -> bool:
     return True
 
 
+def merge_result(
+    runner: "ExperimentRunner",
+    item: WorkItem,
+    rec: "RunRecord",
+    seconds: float,
+    worker_pid: int,
+    *,
+    label: str,
+    predicted_s: float,
+    t_submit: float,
+    **extra: Any,
+) -> None:
+    """Land one executed item — the one merge path of every dispatcher.
+
+    Caches and journals the record, counts the simulation, calibrates the
+    cost model and appends the item's timing record to ``runner.sweep_log``
+    and ``<cache_dir>/sweep_trace.jsonl``.  ``wait_s`` is the time since
+    ``t_submit`` (a :func:`time.perf_counter` reading) not spent
+    simulating, clamped at 0; ``extra`` keys (the tcp hub's ``worker`` and
+    ``executor``) extend the record.
+    """
+    key = item.key
+    runner._cache_put(key, rec)
+    runner._mark_complete(key)
+    runner.sims_run += 1
+    _get_cost_model().observe(item, seconds)
+    timing = {
+        "label": label,
+        "scale": key.scale,
+        "policy": key.policy,
+        "workload": key.workload,
+        "backend": item.backend or runner.backend,
+        "predicted_s": round(predicted_s, 6),
+        "elapsed_s": round(seconds, 6),
+        "wait_s": round(max(0.0, time.perf_counter() - t_submit - seconds), 6),
+        "worker_pid": worker_pid,
+        **extra,
+    }
+    runner.sweep_log.append(timing)
+    if runner.cache_dir is None:
+        return
+    try:
+        with open(runner.cache_dir / "sweep_trace.jsonl", "a") as fh:
+            fh.write(json.dumps(timing) + "\n")
+    except OSError:  # pragma: no cover - observability must never fail a run
+        pass
+
+
+class _Sweep:
+    """One ``run_items`` call of the local pool or the tcp hub.
+
+    Owns what both dispatchers do around their transport: the LPT order
+    (``todo``/``estimates``), the progress line, the ``sweep_start`` /
+    ``item`` / ``sweep_end`` events and the ``abort_cb`` poll after each
+    completed item.  ``executor`` names a non-local dispatcher in the
+    events, the progress label and each timing record.
+    """
+
+    def __init__(
+        self,
+        runner: "ExperimentRunner",
+        label: str,
+        todo: list[WorkItem],
+        hits: int,
+        jobs: int,
+        executor: str | None = None,
+    ) -> None:
+        self.runner = runner
+        self.label = label
+        self.hits = hits
+        self.model = _get_cost_model()
+        self.estimates, self.todo = self.model.lpt_order(todo)
+        self.tag = {"executor": executor} if executor else {}
+        self.progress = _Progress(
+            len(todo), hits, jobs, f"{label} [{executor}]" if executor else label
+        )
+        self.executed = 0
+        self.aborted = False
+        runner._notify(
+            {
+                "event": "sweep_start",
+                "label": label,
+                **self.tag,
+                "total": len(todo) + hits,
+                "hits": hits,
+                "to_run": len(todo),
+                "jobs": jobs,
+            }
+        )
+
+    def done(
+        self,
+        item: WorkItem,
+        rec: "RunRecord",
+        seconds: float,
+        worker_pid: int,
+        t_submit: float,
+        **extra: Any,
+    ) -> None:
+        """Merge one executed item, tick progress, notify, poll abort."""
+        runner = self.runner
+        merge_result(
+            runner, item, rec, seconds, worker_pid,
+            label=self.label,
+            predicted_s=self.estimates[id(item)],
+            t_submit=t_submit,
+            **extra,
+            **self.tag,
+        )
+        self.executed += 1
+        key = item.key
+        self.progress.tick(key)
+        runner._notify(
+            {
+                "event": "item",
+                "label": self.label,
+                "scale": key.scale,
+                "policy": key.policy,
+                "workload": key.workload,
+                "cached": False,
+                "elapsed_s": round(seconds, 6),
+                "worker_pid": worker_pid,
+                **extra,
+                "done": self.progress.done,
+                "to_run": self.progress.to_run,
+                "hits": self.hits,
+            }
+        )
+        if not self.aborted and runner.abort_cb is not None:
+            try:
+                self.aborted = bool(runner.abort_cb())
+            except Exception:  # noqa: BLE001 - treat a broken
+                self.aborted = True  # callback as an abort request
+
+    def close(self) -> None:
+        self.progress.close()
+        self.model.save()
+        self.runner._notify(
+            {
+                "event": "sweep_end",
+                "label": self.label,
+                **self.tag,
+                "executed": self.executed,
+                "hits": self.hits,
+                "aborted": self.aborted,
+            }
+        )
+
+    def raise_if_aborted(self) -> None:
+        if self.aborted:
+            from repro.experiments.runner import SweepAborted
+
+            raise SweepAborted(
+                f"sweep {self.label!r} aborted after {self.executed} of "
+                f"{len(self.todo)} simulations; completed work is cached "
+                "and journaled"
+            )
+
+
 def run_items(
     runner: "ExperimentRunner",
     items: Sequence[WorkItem],
@@ -447,33 +583,14 @@ def run_items(
     if not todo:
         return 0
 
-    model = _get_cost_model()
-    estimates, todo = model.lpt_order(todo)
-
-    store = shm.store()
     executor = _get_executor(jobs)
-    progress = _Progress(len(todo), hits, min(jobs, len(todo)), label)
-    queue: deque[WorkItem] = deque(todo)
+    sweep = _Sweep(runner, label, todo, hits, min(jobs, len(todo)))
+    queue: deque[WorkItem] = deque(sweep.todo)
     inflight: dict = {}
-    timings: list[dict] = []
-    executed = 0
-    aborted = False
-    runner._notify(
-        {
-            "event": "sweep_start",
-            "label": label,
-            "total": len(todo) + hits,
-            "hits": hits,
-            "to_run": len(todo),
-            "jobs": min(jobs, len(todo)),
-        }
-    )
 
     def _submit_next() -> None:
         item = queue.popleft()
-        names = store.names_for(item.specs())
-        fut = executor.submit(_run_item, item, names or None)
-        inflight[fut] = (item, time.perf_counter())
+        inflight[executor.submit(_run_item, item)] = (item, time.perf_counter())
 
     try:
         for _ in range(min(jobs + 1, len(queue))):
@@ -482,49 +599,9 @@ def run_items(
             done, _pending = wait(list(inflight), return_when=FIRST_COMPLETED)
             for fut in done:
                 item, t_submit = inflight.pop(fut)
-                key, rec, seconds, worker_pid = fut.result()
-                runner._cache_put(key, rec)
-                runner._mark_complete(key)
-                runner.sims_run += 1
-                executed += 1
-                model.observe(item, seconds)
-                timings.append(
-                    {
-                        "label": label,
-                        "scale": key.scale,
-                        "policy": key.policy,
-                        "workload": key.workload,
-                        "backend": item.backend or runner.backend,
-                        "predicted_s": round(estimates[id(item)], 6),
-                        "elapsed_s": round(seconds, 6),
-                        "wait_s": round(
-                            time.perf_counter() - t_submit - seconds, 6
-                        ),
-                        "worker_pid": worker_pid,
-                    }
-                )
-                progress.tick(key)
-                runner._notify(
-                    {
-                        "event": "item",
-                        "label": label,
-                        "scale": key.scale,
-                        "policy": key.policy,
-                        "workload": key.workload,
-                        "cached": False,
-                        "elapsed_s": round(seconds, 6),
-                        "worker_pid": worker_pid,
-                        "done": progress.done,
-                        "to_run": progress.to_run,
-                        "hits": hits,
-                    }
-                )
-                if not aborted and runner.abort_cb is not None:
-                    try:
-                        aborted = bool(runner.abort_cb())
-                    except Exception:  # noqa: BLE001 - treat a broken
-                        aborted = True  # callback as an abort request
-                if queue and not aborted:
+                _key, rec, seconds, worker_pid = fut.result()
+                sweep.done(item, rec, seconds, worker_pid, t_submit)
+                if queue and not sweep.aborted:
                     _submit_next()
     except BrokenProcessPool:
         shutdown()  # reset so the next call gets a healthy pool
@@ -535,46 +612,9 @@ def run_items(
     finally:
         for fut in inflight:
             fut.cancel()
-        progress.close()
-        model.save()
-        runner.sweep_log.extend(timings)
-        append_sweep_trace(runner, timings)
-        runner._notify(
-            {
-                "event": "sweep_end",
-                "label": label,
-                "executed": executed,
-                "hits": hits,
-                "aborted": aborted,
-            }
-        )
-    if aborted:
-        from repro.experiments.runner import SweepAborted
-
-        raise SweepAborted(
-            f"sweep {label!r} aborted after {executed} of {len(todo)} "
-            "simulations; completed work is cached and journaled"
-        )
-    return executed
-
-
-def append_sweep_trace(runner: "ExperimentRunner", timings: list[dict]) -> None:
-    """Persist scheduling records next to the cache (best-effort).
-
-    Shared by :func:`run_items` and the service layer's item dispatcher,
-    so every executed simulation — whoever launched it — lands in the
-    same ``<cache_dir>/sweep_trace.jsonl`` with the same record shape.
-    """
-    if not timings or runner.cache_dir is None:
-        return
-    try:
-        import json
-
-        with open(runner.cache_dir / "sweep_trace.jsonl", "a") as fh:
-            for rec in timings:
-                fh.write(json.dumps(rec) + "\n")
-    except OSError:  # pragma: no cover - observability must never fail a run
-        pass
+        sweep.close()
+    sweep.raise_if_aborted()
+    return sweep.executed
 
 
 def sweep_items(
@@ -587,19 +627,14 @@ def sweep_items(
     """Work items for every (policy, workload) pair of a sweep.
 
     Workloads whose traces cannot be regenerated from seeds are skipped
-    (the serial pass after the prefetch still runs them in-parent).  The
-    traces of eligible workloads are staged with the shared-memory store,
-    so workers can map them instead of rebuilding.
+    (the serial pass after the prefetch still runs them in-parent).
     """
     items: list[WorkItem] = []
     tel_cfg, tel_dir = _telemetry_fields(runner)
-    store = shm.store()
     for wl in workloads:
         spec = WorkloadSpec.of(wl)
         if spec is None:
             continue
-        for tr, tr_spec in zip(wl.traces, spec.traces):
-            store.stage(tr_spec, tr.records)
         for policy in policies:
             items.append(
                 WorkItem(
@@ -626,14 +661,11 @@ def single_items(
     """Work items for single-thread reference runs (fairness baselines)."""
     items: list[WorkItem] = []
     tel_cfg, tel_dir = _telemetry_fields(runner)
-    store = shm.store()
     for tr in traces:
         try:
             category_profile(tr.category, tr.kind)
         except KeyError:
             continue
-        spec = TraceSpec.of(tr)
-        store.stage(spec, tr.records)
         items.append(
             WorkItem(
                 key=runner.key_for_single(config, tr),
@@ -641,7 +673,7 @@ def single_items(
                 config=config,
                 policy="icount",
                 stop="all_done",
-                single=spec,
+                single=TraceSpec.of(tr),
                 telemetry=tel_cfg,
                 telemetry_dir=tel_dir,
                 fast_forward=runner.fast_forward,

@@ -432,14 +432,37 @@ class ExperimentRunner:
         workload: Workload,
         stop: str = "first_done",
     ) -> RunRecord:
-        """Simulate (or fetch from cache) one 2-thread workload.
+        """Simulate (or fetch from cache) one 2-thread workload."""
+        key = self.key_for(config, policy, workload, stop=stop)
+        return self._run_cached(
+            key, config, policy, list(workload.traces), stop,
+            self.scale.warmup_uops,
+        )
+
+    def run_single(self, config: ProcessorConfig, trace: Trace) -> RunRecord:
+        """Single-thread reference run (fairness denominator), cached."""
+        key = self.key_for_single(config, trace)
+        return self._run_cached(
+            key, config.with_threads(1), "icount", [trace], "all_done",
+            self.scale.warmup_uops // 2,
+        )
+
+    def _run_cached(
+        self,
+        key: RunKey,
+        config: ProcessorConfig,
+        policy: str,
+        traces: list[Trace],
+        stop: str,
+        warmup_uops: int,
+    ) -> RunRecord:
+        """The cached-execution body shared by :meth:`run`/:meth:`run_single`.
 
         With telemetry enabled, a cached record is only honoured when its
         telemetry export is also on disk (keys the resume journal vouches
         for skip that scan); otherwise the simulation re-runs
         (bit-identical, so the rewritten cache entry does not change).
         """
-        key = self.key_for(config, policy, workload, stop=stop)
         tel, teldir = self._telemetry_for(key)
         cached = self._cache_get(key)
         if cached is not None and (
@@ -454,47 +477,11 @@ class ExperimentRunner:
         res = run_simulation(
             config,
             self._make_policy(policy),
-            list(workload.traces),
+            traces,
             max_cycles=self.scale.max_cycles,
             stop=stop,
             workload_name=key.workload,
-            warmup_uops=self.scale.warmup_uops,
-            prewarm_caches=True,
-            telemetry=tel,
-            fast_forward=self.fast_forward,
-            backend=self.backend,
-        )
-        rec = RunRecord.from_result(res)
-        if tel is not None and teldir is not None:
-            self._export_telemetry(tel, teldir, key)
-        self._cache_put(key, rec)
-        self._mark_complete(key)
-        self.sims_run += 1
-        self._notify_run(key, cached=False)
-        return rec
-
-    def run_single(self, config: ProcessorConfig, trace: Trace) -> RunRecord:
-        """Single-thread reference run (fairness denominator), cached."""
-        key = self.key_for_single(config, trace)
-        tel, teldir = self._telemetry_for(key)
-        cached = self._cache_get(key)
-        if cached is not None and (
-            key in self.resume_completed
-            or teldir is None
-            or exports_complete(teldir)
-        ):
-            self._mark_complete(key)
-            self._notify_run(key, cached=True)
-            return cached
-        self._check_abort()
-        res = run_simulation(
-            config.with_threads(1),
-            "icount",
-            [trace],
-            max_cycles=self.scale.max_cycles,
-            stop="all_done",
-            workload_name=key.workload,
-            warmup_uops=self.scale.warmup_uops // 2,
+            warmup_uops=warmup_uops,
             prewarm_caches=True,
             telemetry=tel,
             fast_forward=self.fast_forward,

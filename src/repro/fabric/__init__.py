@@ -12,12 +12,15 @@ multi-host scale-out — a **transport** — behind one switch:
   serves items over a length-prefixed JSON protocol to remote workers
   started with ``repro-sim worker --connect host:port``.
 
-Either way the caller is :meth:`ExperimentRunner.sweep` and the results
-land in the same cache + journal, so a distributed sweep is bit-identical
-to a serial one and ``--resume`` works unchanged across coordinator
-restarts.  Executor resolution mirrors the engine's other knobs:
-explicit argument > ``REPRO_EXECUTOR`` environment > ``local``, failing
-fast on unknown names.
+Either way the caller is :meth:`ExperimentRunner.sweep`, workers run
+:func:`repro.experiments.parallel._run_item` on traces loaded from the
+trace cache, and every result lands through
+:func:`repro.experiments.parallel.merge_result` in the same cache +
+journal, so a distributed sweep is bit-identical to a serial one and
+``--resume`` works unchanged across coordinator restarts.  Executor
+resolution mirrors the engine's other knobs: explicit argument >
+``REPRO_EXECUTOR`` environment > ``local``, failing fast on unknown
+names.
 """
 
 from __future__ import annotations

@@ -16,8 +16,9 @@ Scheduling mirrors the local engine exactly:
   so a fast worker streams items back-to-back while a slow one is never
   buried — cross-host work stealing without a shared queue;
 * every completed item lands in the coordinator's cache + journal through
-  the same ``_cache_put``/``_mark_complete`` calls the local pool uses, so
-  ``--resume`` works unchanged across coordinator restarts.
+  :func:`repro.experiments.parallel.merge_result`, the merge the local
+  pool and the service use, so ``--resume`` works unchanged across
+  coordinator restarts.
 
 Failure model: a worker is alive while its socket speaks (results or the
 heartbeat thread's beacons).  A closed socket or a silent
@@ -84,8 +85,8 @@ class _Conn:
         self.host = ""
         self.window = 1
         self.last_seen = time.monotonic()
-        #: key -> (item, estimate, monotonic dispatch time)
-        self.leases: dict["RunKey", tuple["WorkItem", float, float]] = {}
+        #: key -> leased item
+        self.leases: dict["RunKey", "WorkItem"] = {}
 
     @property
     def name(self) -> str:
@@ -170,7 +171,7 @@ class FabricHub:
         if conn in self.conns:
             self.conns.remove(conn)
         self.drops += 1
-        lost = [item for item, _est, _t0 in conn.leases.values()]
+        lost = list(conn.leases.values())
         if conn.registered:
             print(
                 f"[repro] fabric: worker {conn.name} dropped ({reason}); "
@@ -231,29 +232,15 @@ class FabricHub:
         todo, hits = parallel.split_items(runner, items)
         if not todo:
             return 0
-        model = parallel._get_cost_model()
-        estimates, ordered = model.lpt_order(todo)
+        sweep = parallel._Sweep(
+            runner, label, todo, hits, max(1, len(self.conns)), executor="tcp"
+        )
         # stored reversed (ascending) so list.pop() hands out the longest
-        pending = ordered[::-1]
-        completed: set["RunKey"] = set()
-        timings: list[dict[str, Any]] = []
-        executed = 0
-        aborted = False
+        pending = sweep.todo[::-1]
+        # key -> (item, perf_counter dispatch time) of every leased item
+        # whose result has not landed yet
+        sent: dict["RunKey", tuple["WorkItem", float]] = {}
         failure: str | None = None
-        progress = parallel._Progress(
-            len(todo), hits, max(1, len(self.conns)), f"{label} [tcp]"
-        )
-        runner._notify(
-            {
-                "event": "sweep_start",
-                "label": label,
-                "executor": "tcp",
-                "total": len(todo) + hits,
-                "hits": hits,
-                "to_run": len(todo),
-                "jobs": max(1, len(self.conns)),
-            }
-        )
 
         now = time.monotonic()
         for conn in self.conns:
@@ -265,86 +252,41 @@ class FabricHub:
             return sum(len(c.leases) for c in self.conns)
 
         def fill(conn: _Conn) -> None:
-            if not conn.registered or aborted or failure:
+            if not conn.registered or sweep.aborted or failure:
                 return
             while pending and len(conn.leases) < conn.window:
                 item = pending.pop()
-                conn.leases[item.key] = (
-                    item, estimates[id(item)], time.monotonic()
-                )
+                conn.leases[item.key] = item
+                sent[item.key] = (item, time.perf_counter())
                 self._queue(conn, protocol.item_msg(item))
 
         def requeue(lost: list["WorkItem"]) -> None:
-            fresh = [it for it in lost if it.key not in completed]
+            fresh = [it for it in lost if it.key in sent]
             if not fresh:
                 return
             self.requeued += len(fresh)
             pending.extend(fresh)
-            pending.sort(key=lambda it: estimates[id(it)])
+            pending.sort(key=lambda it: sweep.estimates[id(it)])
             for conn in self.conns:
                 fill(conn)
 
         def on_result(conn: _Conn, msg: dict[str, Any]) -> None:
-            nonlocal executed, aborted
             key = protocol.decode_key(msg["key"])
-            lease = conn.leases.pop(key, None)
-            if key in completed:
+            conn.leases.pop(key, None)
+            lease = sent.pop(key, None)
+            if lease is None:
                 return  # duplicate after a re-queue; first result won
-            rec = protocol.decode_record(msg["record"])
-            seconds = float(msg["seconds"])
-            completed.add(key)
-            runner._cache_put(key, rec)
-            runner._mark_complete(key)
-            runner.sims_run += 1
-            executed += 1
-            item, estimate, t0 = lease if lease is not None else (
-                None, 0.0, time.monotonic()
+            item, t_submit = lease
+            sweep.done(
+                item,
+                protocol.decode_record(msg["record"]),
+                float(msg["seconds"]),
+                int(msg.get("pid", conn.pid)),
+                t_submit,
+                worker=conn.name,
             )
-            if item is not None:
-                model.observe(item, seconds)
-            timings.append(
-                {
-                    "label": label,
-                    "scale": key.scale,
-                    "policy": key.policy,
-                    "workload": key.workload,
-                    "backend": (
-                        (item.backend if item else None) or runner.backend
-                    ),
-                    "predicted_s": round(estimate, 6),
-                    "elapsed_s": round(seconds, 6),
-                    "wait_s": round(
-                        max(0.0, time.monotonic() - t0 - seconds), 6
-                    ),
-                    "worker_pid": int(msg.get("pid", conn.pid)),
-                    "worker": conn.name,
-                    "executor": "tcp",
-                }
-            )
-            progress.tick(key)
-            runner._notify(
-                {
-                    "event": "item",
-                    "label": label,
-                    "scale": key.scale,
-                    "policy": key.policy,
-                    "workload": key.workload,
-                    "cached": False,
-                    "elapsed_s": round(seconds, 6),
-                    "worker_pid": int(msg.get("pid", conn.pid)),
-                    "worker": conn.name,
-                    "done": progress.done,
-                    "to_run": progress.to_run,
-                    "hits": hits,
-                }
-            )
-            if not aborted and runner.abort_cb is not None:
-                try:
-                    aborted = bool(runner.abort_cb())
-                except Exception:  # noqa: BLE001 - broken callback = abort
-                    aborted = True
-                if aborted:
-                    pending.clear()
+            if sweep.aborted:
+                pending.clear()
 
         def on_message(conn: _Conn, msg: dict[str, Any]) -> None:
             nonlocal failure
@@ -386,8 +328,8 @@ class FabricHub:
             failure = f"worker {conn.name} sent unknown message {kind!r}"
 
         try:
-            while (len(completed) < len(todo) and not failure
-                   and not (aborted and leased() == 0)):
+            while (sweep.executed < len(todo) and not failure
+                   and not (sweep.aborted and leased() == 0)):
                 for sel_key, _mask in self.selector.select(timeout=0.25):
                     if sel_key.data is None:
                         self._accept()
@@ -421,33 +363,14 @@ class FabricHub:
                 ]:
                     requeue(self._drop(conn, "lease timeout"))
         finally:
-            progress.close()
-            model.save()
-            runner.sweep_log.extend(timings)
-            parallel.append_sweep_trace(runner, timings)
-            runner._notify(
-                {
-                    "event": "sweep_end",
-                    "label": label,
-                    "executor": "tcp",
-                    "executed": executed,
-                    "hits": hits,
-                    "aborted": aborted,
-                }
-            )
+            sweep.close()
         if failure:
             raise RuntimeError(
                 f"fabric sweep {label!r} failed: {failure}; completed work "
                 "is cached and journaled — re-run, optionally with --resume"
             )
-        if aborted:
-            from repro.experiments.runner import SweepAborted
-
-            raise SweepAborted(
-                f"sweep {label!r} aborted after {executed} of {len(todo)} "
-                "simulations; completed work is cached and journaled"
-            )
-        return executed
+        sweep.raise_if_aborted()
+        return sweep.executed
 
 
 # --------------------------------------------------------------------------- #

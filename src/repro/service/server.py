@@ -21,9 +21,11 @@ cache uses, so identical work is never repeated):
 2. *item level* — each simulation about to launch first checks the
    in-flight table (another job already running this ``RunKey`` →
    coalesce) and then the disk cache (hit → complete instantly);
-3. *cache level* — everything that does run is written through
-   :meth:`ExperimentRunner._cache_put`, byte-identical to a direct
-   runner call, so future requests (and direct library users) hit it.
+3. *cache level* — everything that does run lands through
+   :func:`repro.experiments.parallel.merge_result`, the merge the local
+   pool and the tcp fabric use (cache, journal, cost model,
+   ``sweep_trace.jsonl``), byte-identical to a direct runner call, so
+   future requests (and direct library users) hit it.
 
 **Fair sharing**: jobs decompose into single-simulation work items; a
 dispatcher hands free pool slots to items, one at a time, choosing the
@@ -40,9 +42,10 @@ original ids, and the sweep journal + result cache turn everything that
 already ran into instant hits — each work item executes exactly once
 across restarts (``scripts/resume_smoke.py --server`` asserts this).
 
-The event loop owns all mutable state; simulations run on the shared
-process pool (or an in-process thread pool with ``executor="thread"``)
-via ``run_in_executor``, and their completions re-enter the loop as
+The event loop owns all mutable state; simulations run through
+:func:`repro.experiments.parallel._run_item` on the shared process pool
+(or an in-process thread pool with ``executor="thread"``) via
+``run_in_executor``, and their completions re-enter the loop as
 callbacks.  No locks, no new dependencies.
 """
 
@@ -263,7 +266,7 @@ class Service:
     def _build_items(
         self, runner: ExperimentRunner, spec: JobSpec
     ) -> list["WorkItem"]:
-        """(prep thread) pool workloads -> WorkItems, traces staged in shm."""
+        """(prep thread) pool workloads -> WorkItems."""
         workloads = spec.workloads(runner.pool)
         return parallel.sweep_items(
             runner, spec.config(), list(spec.policies), workloads,
@@ -329,11 +332,8 @@ class Service:
         model = parallel._get_cost_model()
         exec_ = _ItemExec(key, item, tenant, runner, job, model.estimate(item))
         self._inflight[key] = exec_
-        names = None
-        if self.settings.executor == "process":
-            names = parallel.shm.store().names_for(item.specs()) or None
         future = asyncio.get_running_loop().run_in_executor(
-            self._sim_pool(), parallel._run_item, item, names
+            self._sim_pool(), parallel._run_item, item
         )
         future.add_done_callback(
             lambda fut, exec_=exec_: self._on_done(exec_, fut)
@@ -379,27 +379,14 @@ class Service:
             self._wakeup()
             return
         key, record, seconds, worker_pid = future.result()
-        runner = exec_.runner
-        runner._cache_put(key, record)
-        runner._mark_complete(key)
-        runner.sims_run += 1
+        parallel.merge_result(
+            exec_.runner, exec_.item, record, seconds, worker_pid,
+            label=f"service:{exec_.jobs[0].id}",
+            predicted_s=exec_.estimate,
+            t_submit=exec_.t0,
+        )
         self.scheduler.on_complete(exec_.tenant, seconds)
-        model = parallel._get_cost_model()
-        model.observe(exec_.item, seconds)
         self.stats["executed_items"] += 1
-        timing = {
-            "label": f"service:{exec_.jobs[0].id}",
-            "scale": key.scale,
-            "policy": key.policy,
-            "workload": key.workload,
-            "backend": exec_.item.backend or runner.backend,
-            "predicted_s": round(exec_.estimate, 6),
-            "elapsed_s": round(seconds, 6),
-            "wait_s": round(time.perf_counter() - exec_.t0 - seconds, 6),
-            "worker_pid": worker_pid,
-        }
-        runner.sweep_log.append(timing)
-        parallel.append_sweep_trace(runner, [timing])
         for position, job in enumerate(dict.fromkeys(exec_.jobs)):
             if job.state in TERMINAL:
                 continue

@@ -1,10 +1,11 @@
-"""Sweep execution engine: pool lifecycle, cost model, shm, progress.
+"""Sweep execution engine: pool lifecycle, cost model, traces, progress.
 
 ``test_parallel.py`` pins the correctness contract (parallel == serial,
 bit for bit); this file pins the *engine* around it — the persistent
-executor, the shared-memory trace store and its fallback, the cost-model
-calibration that drives LPT dispatch, and the hit/ran/total progress
-reporting.
+executor, worker trace loading (trace cache, or re-synthesis when it is
+disabled), the cost-model calibration that drives LPT dispatch, the
+hit/ran/total progress reporting and the timing records every dispatcher
+leaves in ``sweep_trace.jsonl``.
 """
 
 from __future__ import annotations
@@ -14,14 +15,20 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.experiments import costmodel, parallel, shm
+import repro.fabric as fabric
+from repro.experiments import costmodel, parallel
 from repro.experiments.parallel import TraceSpec, WorkItem, _Progress, resolve_jobs
 from repro.experiments.runner import ExperimentRunner, RunKey, figure2_config
+from repro.fabric.coordinator import FabricSettings
+from repro.fabric.worker import Worker
+from repro.service import BackgroundService, ServiceClient, ServiceSettings
+from repro.trace import cache
 from repro.trace.workloads import build_pool
 
 POOL_KW = dict(
@@ -208,44 +215,28 @@ def test_fully_cached_sweep_skips_pool(pool, tmp_path):
     assert parallel._executor is None  # run_items returned before _get_executor
 
 
-# -- shared-memory trace store ----------------------------------------------
+# -- worker trace loading ---------------------------------------------------
 
 
-def test_shm_publish_attach_roundtrip(pool):
-    if not shm.enabled():
-        pytest.skip("shared memory unavailable on this host")
+def test_worker_trace_is_a_trace_cache_hit(pool, monkeypatch):
+    """A worker maps the trace-cache entry the parent wrote when it built
+    its pool: one hit, no miss, no re-synthesis, the parent's records."""
+    monkeypatch.setattr(parallel, "_worker_traces", {})
     tr = pool.workloads[0].traces[0]
-    spec = TraceSpec.of(tr)
-    store = shm.TraceStore()
-    store.stage(spec, tr.records)
-    assert len(store) == 0  # publication is deferred until needed
-    names = store.names_for([spec])
-    assert spec in names and len(store) == 1
-    view = shm.attach(names[spec], spec.n_uops)
-    assert view is not None
-    assert np.array_equal(np.asarray(view), tr.records)
-    store.release()
-    assert len(store) == 0
+    before = dict(cache.stats)
+    got = parallel._worker_trace(TraceSpec.of(tr))
+    assert cache.stats["hits"] == before["hits"] + 1
+    assert cache.stats["misses"] == before["misses"]
+    assert cache.stats["stores"] == before["stores"]
+    assert np.array_equal(got.records, tr.records)
 
 
-def test_shm_attach_unknown_name_falls_back():
-    assert shm.attach("repro_nonexistent_segment", 100) is None
-
-
-def test_shm_disabled_by_env(pool, monkeypatch):
-    monkeypatch.setenv("REPRO_SHM", "0")
-    assert not shm.enabled()
-    store = shm.TraceStore()
-    tr = pool.workloads[0].traces[0]
-    spec = TraceSpec.of(tr)
-    store.stage(spec, tr.records)
-    assert store.names_for([spec]) == {}  # workers rebuild from seeds
-
-
-def test_sweep_without_shm_matches_serial(pool, monkeypatch):
-    """REPRO_SHM=0 exercises the spec-rebuild fallback end to end."""
+def test_sweep_without_trace_cache_matches_serial(pool, monkeypatch):
+    """REPRO_TRACE_CACHE=0 exercises the workers' re-synthesize-from-seed
+    path end to end (forked workers start with an empty trace memo)."""
     parallel.shutdown()
-    monkeypatch.setenv("REPRO_SHM", "0")
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
+    monkeypatch.setattr(parallel, "_worker_traces", {})
     config = figure2_config(32)
     serial = ExperimentRunner("smoke", pool=pool)
     par = ExperimentRunner("smoke", pool=pool, jobs=2)
@@ -255,6 +246,71 @@ def test_sweep_without_shm_matches_serial(pool, monkeypatch):
     for key in rs:
         assert dataclasses.asdict(rs[key]) == dataclasses.asdict(rp[key]), key
     parallel.shutdown()
+
+
+# -- one merge path: timing records of every dispatcher ---------------------
+
+BASE_KEYS = {
+    "label", "scale", "policy", "workload", "backend",
+    "predicted_s", "elapsed_s", "wait_s", "worker_pid",
+}
+
+
+def _sweep_on(dispatcher: str, pool, cache_dir) -> ExperimentRunner:
+    """Run a 2-policy ISPEC00 sweep on ``dispatcher``; return its runner."""
+    policies = ["icount", "cssp"]
+    if dispatcher == "local":
+        runner = ExperimentRunner("smoke", pool=pool, cache_dir=cache_dir, jobs=2)
+        runner.sweep(figure2_config(32), policies)
+        return runner
+    if dispatcher == "tcp":
+        settings = FabricSettings(port=0)
+        runner = ExperimentRunner(
+            "smoke", pool=pool, cache_dir=cache_dir,
+            executor="tcp", fabric=settings,
+        )
+        try:
+            hub = fabric.get_hub(settings)
+            for _ in range(2):
+                worker = Worker("127.0.0.1", hub.port, heartbeat=0.1)
+                threading.Thread(target=worker.run, daemon=True).start()
+            runner.sweep(figure2_config(32), policies)
+        finally:
+            fabric.shutdown()
+        return runner
+    settings = ServiceSettings(
+        port=0, cache_dir=cache_dir, slots=2, executor="thread",
+        default_scale="smoke", rate=None,
+    )
+    with BackgroundService(settings) as bg:
+        client = ServiceClient(port=bg.port)
+        job = client.submit_sweep({
+            "scale": "smoke", "policies": policies,
+            "categories": ["ISPEC00"], "iq_entries": 32,
+            "unbounded_regs": True, "unbounded_rob": True,
+        })
+        assert client.wait(job["id"], timeout=600)["state"] == "done"
+        return bg.service._runners["smoke"]
+
+
+@pytest.mark.parametrize("dispatcher", ["local", "tcp", "service"])
+def test_sweep_trace_rows_share_base_keys(dispatcher, pool, tmp_path):
+    """Local pool, tcp hub and service all land results through one merge:
+    every sweep_trace.jsonl row has the same base keys (the hub adds its
+    ``worker``/``executor``), and each row is one counted simulation."""
+    runner = _sweep_on(dispatcher, pool, tmp_path)
+    rows = [
+        json.loads(line)
+        for line in (tmp_path / "sweep_trace.jsonl").read_text().splitlines()
+    ]
+    extra = {"worker", "executor"} if dispatcher == "tcp" else set()
+    assert rows
+    for row in rows:
+        assert set(row) == BASE_KEYS | extra, row
+        assert row["wait_s"] >= 0
+        assert isinstance(row["worker_pid"], int)
+    assert runner.sims_run == len(rows)
+    assert runner.sweep_log == rows
 
 
 # -- interpreter-exit hygiene -----------------------------------------------
