@@ -3,12 +3,13 @@
 
 Launches ``repro-sim sweep --executor tcp`` as a coordinator subprocess,
 connects two ``repro-sim worker`` subprocesses over loopback TCP, then
-SIGKILLs one worker as soon as the checkpoint journal shows progress.
+SIGKILLs one worker as soon as the first result lands in ``sweep_trace.jsonl``.
 The coordinator must re-queue the dead worker's leased items onto the
 survivor and finish the sweep, and the resulting cache tree must be
 **byte-identical** to a plain ``--jobs 1`` local run of the same sweep:
 
-* every (policy, workload) key journaled exactly once;
+* every (policy, workload) key executed exactly once (one
+  ``sweep_trace.jsonl`` row per key);
 * every cache entry present with exactly the bytes the serial run wrote;
 * both the coordinator and the surviving worker exit 0.
 
@@ -51,10 +52,9 @@ ANNOUNCE = re.compile(
 def _env(work_dir: Path) -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(REPO / "src")
-    # isolate the mutable side state; share the trace cache between the
-    # serial and distributed runs (that sharing is the design: workers
-    # rebuild traces from specs through the same on-disk cache)
-    env["REPRO_COST_MODEL"] = str(work_dir / "cost_model.json")
+    # share the trace cache between the serial and distributed runs (that
+    # sharing is the design: workers rebuild traces from specs through the
+    # same on-disk cache)
     env["REPRO_TRACE_CACHE"] = str(work_dir / "traces")
     return env
 
@@ -67,11 +67,15 @@ def _cache_tree(cache_dir: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in sorted(cache_dir.glob("*.json"))}
 
 
-def _journal_lines(cache_dir: Path) -> list[str]:
+def _trace_rows(cache_dir: Path) -> list[tuple[str, str]]:
+    """``(policy, workload)`` of every item executed into ``cache_dir``;
+    the merge appends one row per execution, so a duplicate row means a
+    key ran twice."""
     try:
-        return (cache_dir / "sweep.journal").read_text().splitlines()
+        lines = (cache_dir / "sweep_trace.jsonl").read_text().splitlines()
     except OSError:
         return []
+    return [(row["policy"], row["workload"]) for row in map(json.loads, lines)]
 
 
 def main() -> int:
@@ -103,7 +107,7 @@ def main() -> int:
         print(ref.stdout + ref.stderr, file=sys.stderr)
         print("FAIL: serial reference run failed", file=sys.stderr)
         return 1
-    total = len(_journal_lines(serial_dir))
+    total = len(_cache_tree(serial_dir))
 
     # 2. coordinator on a free loopback port
     coord = subprocess.Popen(
@@ -139,14 +143,15 @@ def main() -> int:
         for _ in range(args.workers)
     ]
 
-    # 4. SIGKILL one worker as soon as the journal shows progress
+    # 4. SIGKILL one worker as soon as the first result lands
+    trace = tcp_dir / "sweep_trace.jsonl"
     deadline = time.monotonic() + 300
     while time.monotonic() < deadline and coord.poll() is None:
-        if len(_journal_lines(tcp_dir)) >= 1:
+        if trace.exists() and trace.stat().st_size > 0:
             break
         time.sleep(0.01)
-    journaled_at_kill = len(_journal_lines(tcp_dir))
-    killed_mid_run = coord.poll() is None and journaled_at_kill < total
+    landed_at_kill = len(_cache_tree(tcp_dir))
+    killed_mid_run = coord.poll() is None and landed_at_kill < total
     workers[0].kill()
     workers[0].wait()
     if not killed_mid_run:
@@ -157,19 +162,19 @@ def main() -> int:
     coord_out, coord_err = coord.communicate(timeout=600)
     survivor_rcs = [w.wait(timeout=120) for w in workers[1:]]
 
-    journal = _journal_lines(tcp_dir)
+    executed = _trace_rows(tcp_dir)
     ref_tree, tcp_tree = _cache_tree(serial_dir), _cache_tree(tcp_dir)
     requeue_seen = "re-queuing" in coord_err
 
     summary = {
         "total": total,
         "killed_mid_run": killed_mid_run,
-        "journaled_at_kill": journaled_at_kill,
+        "landed_at_kill": landed_at_kill,
         "requeue_seen": requeue_seen,
         "coordinator_rc": coord.returncode,
         "survivor_rcs": survivor_rcs,
-        "journal_lines": len(journal),
-        "journal_unique": len(set(journal)),
+        "trace_rows": len(executed),
+        "trace_unique": len(set(executed)),
         "cache_entries": len(tcp_tree),
         "byte_identical": tcp_tree == ref_tree,
     }
@@ -177,7 +182,7 @@ def main() -> int:
         coord.returncode == 0
         and all(rc == 0 for rc in survivor_rcs)
         and total > 0
-        and len(journal) == len(set(journal)) == total
+        and len(executed) == len(set(executed)) == total
         and summary["byte_identical"]
         # the kill must actually have been absorbed mid-run, unless the
         # sweep was simply too fast for the kill to land

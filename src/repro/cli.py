@@ -128,12 +128,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "for engine validation)",
     )
     p_fig.add_argument(
-        "--resume",
-        action="store_true",
-        help="trust the sweep journal in --cache-dir and re-run only the "
-        "simulations it does not list as complete",
-    )
-    p_fig.add_argument(
         "--backend",
         choices=BACKENDS,
         default=None,
@@ -170,12 +164,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="local worker processes (default: REPRO_JOBS or all cores); "
         "ignored with --executor tcp",
-    )
-    p_sweep.add_argument(
-        "--resume",
-        action="store_true",
-        help="trust the sweep journal in --cache-dir and re-run only the "
-        "simulations it does not list as complete",
     )
     p_sweep.add_argument(
         "--backend",
@@ -405,7 +393,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.scale,
         cache_dir=args.cache_dir,
         jobs=resolve_jobs(args.jobs),
-        resume=args.resume,
         backend=args.backend,
         executor=args.executor,
         fabric=_fabric_settings(args),
@@ -641,7 +628,6 @@ def main(argv: list[str] | None = None) -> int:
             cache_dir=args.cache_dir,
             jobs=resolve_jobs(args.jobs),
             fast_forward=False if args.no_fast_forward else None,
-            resume=args.resume,
             backend=args.backend,
             executor=args.executor,
             fabric=_fabric_settings(args),

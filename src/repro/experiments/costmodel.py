@@ -19,33 +19,20 @@ The model is deliberately simple and self-correcting:
   reference, fast-forward discounting stall-heavy runs) and are
   **calibrated** with an exponential moving average of observed per-item
   timings reported back by the pool;
-* calibration recorded before buckets were backend-keyed (three-segment
-  keys) is migrated on load to the ``reference`` engine, which is what
-  produced it;
-* calibration persists across processes in a JSON file
-  (``benchmarks/results/cost_model.json`` in a development checkout,
-  ``~/.cache/repro/cost_model.json`` otherwise; override with
-  ``REPRO_COST_MODEL``, disable persistence with ``REPRO_COST_MODEL=0``),
-  written atomically and tolerated when corrupt — LPT only needs the
-  *relative* order of items, so a cold or stale model degrades throughput,
-  never correctness.
+* calibration lives in the process that dispatches (one model per
+  process, shared by every sweep it runs) and is never written to disk —
+  LPT only needs the *relative* order of items, so a cold model degrades
+  throughput, never correctness.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.core.simulator import fast_forward_default
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.experiments.parallel import WorkItem
-
-_ENV_VAR = "REPRO_COST_MODEL"
-_DISABLED = ("0", "off", "false", "no")
 
 #: Conservative prior: seconds of simulation per trace uop on one core.
 #: Only relative magnitudes matter for LPT ordering.
@@ -92,21 +79,6 @@ _UNKNOWN_BACKEND_FACTOR = BACKEND_FACTOR["vectorized"]
 ALPHA = 0.4
 
 
-def default_path() -> Path | None:
-    """Where calibration persists, or ``None`` when disabled."""
-    env = os.environ.get(_ENV_VAR)
-    if env is not None:
-        if env.strip().lower() in _DISABLED or not env.strip():
-            return None
-        return Path(env)
-    # development checkout: keep the calibration next to the benchmark
-    # results it is derived from
-    repo_results = Path(__file__).resolve().parents[3] / "benchmarks" / "results"
-    if repo_results.is_dir():
-        return repo_results / "cost_model.json"
-    return Path.home() / ".cache" / "repro" / "cost_model.json"
-
-
 def item_features(item: "WorkItem") -> tuple[str, str, bool, str, int]:
     """``(policy, kind, fast_forward, backend, total_uops)`` of one item."""
     from repro.core.backends import resolve_backend
@@ -127,77 +99,12 @@ def item_features(item: "WorkItem") -> tuple[str, str, bool, str, int]:
     return item.policy, kind, ff, backend, uops
 
 
-def _migrate_key(key: str) -> str:
-    """Upgrade a pre-backend bucket key (``policy|kind|ff``) in place.
-
-    Those rates were measured on the reference interpreter (the only
-    engine that existed when they were recorded), so they land in its
-    buckets; vectorized buckets start from priors and calibrate fresh.
-    """
-    parts = key.split("|")
-    if len(parts) == 3:
-        return f"{parts[0]}|{parts[1]}|reference|{parts[2]}"
-    return key
-
-
 class CostModel:
     """Bucketed seconds-per-uop rates with EWMA calibration."""
 
-    def __init__(self, path: Path | None = None) -> None:
-        self.path = path
-        #: ``bucket -> [rate, n_observations]``
-        self._rates: dict[str, list[float]] = {}
-        self._dirty = False
-        if path is not None:
-            self._load(path)
-
-    # -- persistence --------------------------------------------------------
-
-    def _load(self, path: Path) -> None:
-        try:
-            data = json.loads(path.read_text())
-            rates = data["rates"]
-            self._rates = {
-                _migrate_key(str(k)): [float(v["rate"]), int(v["n"])]
-                for k, v in rates.items()
-                if float(v["rate"]) > 0
-            }
-        except FileNotFoundError:
-            pass
-        except (OSError, ValueError, TypeError, KeyError):
-            # corrupt calibration: start cold, overwrite on next save
-            self._rates = {}
-
-    def save(self) -> bool:
-        """Atomically persist calibration; no-op when unchanged/disabled."""
-        if self.path is None or not self._dirty:
-            return False
-        payload = json.dumps(
-            {
-                "version": 1,
-                "rates": {
-                    k: {"rate": r, "n": n} for k, (r, n) in sorted(self._rates.items())
-                },
-            },
-            indent=1,
-        )
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=self.path.parent, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(payload)
-                os.replace(tmp, self.path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return False  # read-only checkout: scheduling still works
-        self._dirty = False
-        return True
+    def __init__(self) -> None:
+        #: ``bucket -> calibrated seconds per uop``
+        self._rates: dict[str, float] = {}
 
     # -- estimation ---------------------------------------------------------
 
@@ -230,7 +137,7 @@ class CostModel:
 
             backend = resolve_backend()
         got = self._rates.get(self._bucket(policy, kind, ff, backend))
-        return got[0] if got else self._prior(policy, kind, ff, backend)
+        return got if got is not None else self._prior(policy, kind, ff, backend)
 
     def estimate(self, item: "WorkItem") -> float:
         """Expected wall-clock seconds for ``item``."""
@@ -261,9 +168,6 @@ class CostModel:
         observed = seconds / uops
         bucket = self._bucket(policy, kind, ff, backend)
         got = self._rates.get(bucket)
-        if got is None:
-            self._rates[bucket] = [observed, 1]
-        else:
-            got[0] += ALPHA * (observed - got[0])
-            got[1] += 1
-        self._dirty = True
+        self._rates[bucket] = (
+            observed if got is None else got + ALPHA * (observed - got)
+        )

@@ -7,7 +7,7 @@ results back through :class:`ExperimentRunner`'s cache, so the serial code
 paths (and their results) are untouched — the parallel layer only
 *prefetches* cache entries.
 
-The engine has four moving parts:
+The engine has three moving parts:
 
 * **Persistent, lazily-spawned worker pool.**  One
   :class:`~concurrent.futures.ProcessPoolExecutor` is shared by every
@@ -26,11 +26,11 @@ The engine has four moving parts:
   a bounded in-flight window: idle workers pull the next-longest pending
   item the moment they free up, which eliminates the tail-straggler idle
   time of FIFO submission.  Completed-item timings are fed back into the
-  model and persisted, so estimates calibrate to the host.
-* **Checkpoint/resume** (:mod:`repro.experiments.journal`).  Each
-  completed key is journaled next to the result cache; a runner built
-  with ``resume=True`` (CLI ``--resume``) skips journaled keys and
-  re-executes only the missing ones.
+  model, so estimates calibrate to the host over the life of the process.
+
+The result cache is the only checkpoint: :func:`split_items` skips every
+key :meth:`ExperimentRunner.completed_record` reports as done, so
+re-running an interrupted sweep executes exactly the missing keys.
 
 This module is the **local executor**; :mod:`repro.fabric` generalizes it
 into a pluggable layer whose ``tcp`` executor leases the same
@@ -271,7 +271,7 @@ _atexit_registered = False
 def _get_cost_model() -> costmodel.CostModel:
     global _cost_model
     if _cost_model is None:
-        _cost_model = costmodel.CostModel(costmodel.default_path())
+        _cost_model = costmodel.CostModel()
     return _cost_model
 
 
@@ -296,7 +296,7 @@ def _get_executor(jobs: int) -> ProcessPoolExecutor:
 
 
 def shutdown() -> None:
-    """Tear down the worker pool and persist the cost model.
+    """Tear down the worker pool.
 
     Safe to call repeatedly; also runs at interpreter exit.  The next
     ``run_items`` call simply builds a fresh pool.
@@ -306,15 +306,13 @@ def shutdown() -> None:
         _executor.shutdown(wait=True)
         _executor = None
         _executor_jobs = 0
-    if _cost_model is not None:
-        _cost_model.save()
 
 
 class _Progress:
     """Live ``hit/ran/total`` line on stderr.
 
     Cache-hit items are reported separately from executed ones, so a
-    mostly-cached resume shows how much real work remains instead of a
+    mostly-cached rerun shows how much real work remains instead of a
     misleading grand total.  Written to stderr only (never stdout, so
     ``repro-sim ... | jq`` style pipelines stay clean) and suppressed
     entirely when neither stdout nor stderr is a terminal — a redirected
@@ -365,7 +363,7 @@ def split_items(
 
     The shared front half of every executor — local pool and fabric
     coordinator alike — so "what still needs running" is decided exactly
-    once, by the process that owns the cache and journal.
+    once, by the process that owns the cache.
     """
     todo: list[WorkItem] = []
     hits = 0
@@ -374,30 +372,11 @@ def split_items(
         if item.key in seen:
             continue
         seen.add(item.key)
-        if _is_complete(runner, item):
+        if runner.completed_record(item.key) is not None:
             hits += 1
         else:
             todo.append(item)
     return todo, hits
-
-
-def _is_complete(runner: "ExperimentRunner", item: WorkItem) -> bool:
-    """Whether ``item`` needs no execution (cache hit, exports present)."""
-    from repro.telemetry import exports_complete
-
-    if runner._cache_get(item.key) is None:
-        return False
-    if item.key in runner.resume_completed:
-        # journal-trusted: the key was marked only after its cache entry
-        # and telemetry exports were durably written
-        return True
-    if item.telemetry_dir is not None:
-        # cached record but possibly missing telemetry export: re-run (the
-        # simulation is deterministic, so the record is rewritten
-        # bit-identically alongside its telemetry files)
-        teldir = runner.telemetry_path(item.key)
-        return teldir is None or exports_complete(teldir)
-    return True
 
 
 def merge_result(
@@ -414,7 +393,7 @@ def merge_result(
 ) -> None:
     """Land one executed item — the one merge path of every dispatcher.
 
-    Caches and journals the record, counts the simulation, calibrates the
+    Caches the record, counts the simulation, calibrates the
     cost model and appends the item's timing record to ``runner.sweep_log``
     and ``<cache_dir>/sweep_trace.jsonl``.  ``wait_s`` is the time since
     ``t_submit`` (a :func:`time.perf_counter` reading) not spent
@@ -423,7 +402,6 @@ def merge_result(
     """
     key = item.key
     runner._cache_put(key, rec)
-    runner._mark_complete(key)
     runner.sims_run += 1
     _get_cost_model().observe(item, seconds)
     timing = {
@@ -470,8 +448,7 @@ class _Sweep:
         self.runner = runner
         self.label = label
         self.hits = hits
-        self.model = _get_cost_model()
-        self.estimates, self.todo = self.model.lpt_order(todo)
+        self.estimates, self.todo = _get_cost_model().lpt_order(todo)
         self.tag = {"executor": executor} if executor else {}
         self.progress = _Progress(
             len(todo), hits, jobs, f"{label} [{executor}]" if executor else label
@@ -536,7 +513,6 @@ class _Sweep:
 
     def close(self) -> None:
         self.progress.close()
-        self.model.save()
         self.runner._notify(
             {
                 "event": "sweep_end",
@@ -554,8 +530,7 @@ class _Sweep:
 
             raise SweepAborted(
                 f"sweep {self.label!r} aborted after {self.executed} of "
-                f"{len(self.todo)} simulations; completed work is cached "
-                "and journaled"
+                f"{len(self.todo)} simulations; completed work is cached"
             )
 
 
@@ -607,7 +582,7 @@ def run_items(
         shutdown()  # reset so the next call gets a healthy pool
         raise RuntimeError(
             "sweep worker pool died mid-run (worker killed or crashed); "
-            "the pool has been reset — re-run, optionally with --resume"
+            "the pool has been reset — re-run"
         ) from None
     finally:
         for fut in inflight:

@@ -15,9 +15,11 @@ All figure reproductions funnel their simulations through one
   ``REPRO_JOBS`` environment variable — see
   :mod:`repro.experiments.parallel`); the parallel path only prefetches
   cache entries, so results are bit-identical to a serial run;
-* journals every completed run next to the disk cache
-  (:mod:`repro.experiments.journal`) so an interrupted sweep restarted
-  with ``resume=True`` (CLI ``--resume``) re-executes only missing keys.
+* treats the disk cache as the only checkpoint: a run is complete once
+  its entry is on disk (and, with telemetry on, its export too — the
+  entry is written after the export), so re-running an interrupted sweep
+  executes only the keys that never finished
+  (:meth:`ExperimentRunner.completed_record`).
 
 Disk cache writes go through a temp file and :func:`os.replace`, so
 concurrent runners sharing one ``cache_dir`` never observe a half-written
@@ -50,8 +52,8 @@ class SweepAborted(RuntimeError):
     """Raised when a runner's ``abort_cb`` asked for cancellation.
 
     The runner stops launching new simulations; everything already
-    completed is cached and journaled, so a later run (or ``--resume``)
-    picks up exactly where the abort left off.
+    completed is cached, so re-running the same sweep picks up exactly
+    where the abort left off.
     """
 
 
@@ -155,7 +157,6 @@ class ExperimentRunner:
         telemetry_dir: str | Path | None = None,
         telemetry: TelemetryConfig | None = None,
         fast_forward: bool | None = None,
-        resume: bool = False,
         backend: str | None = None,
         progress_cb: Callable[[dict[str, Any]], None] | None = None,
         abort_cb: Callable[[], bool] | None = None,
@@ -204,19 +205,6 @@ class ExperimentRunner:
         self.backend = resolve_backend(backend)
         self.sims_run = 0
         self.cache_hits = 0
-        # Checkpoint journal: every completed key is recorded next to the
-        # disk cache (after its cache entry and telemetry exports are
-        # written).  With resume=True the journal is preloaded and those
-        # keys are trusted as complete, so an interrupted sweep re-executes
-        # only the missing ones (CLI: --resume).
-        from repro.experiments.journal import JOURNAL_NAME, SweepJournal
-
-        self.journal = (
-            SweepJournal(self.cache_dir / JOURNAL_NAME) if self.cache_dir else None
-        )
-        self.resume_completed: frozenset[RunKey] = frozenset(
-            self.journal.load() if (resume and self.journal) else ()
-        )
         #: scheduling/timing records appended by the parallel engine
         #: (one dict per executed item; see repro.experiments.parallel)
         self.sweep_log: list[dict[str, Any]] = []
@@ -420,10 +408,22 @@ class ExperimentRunner:
                     pass
                 raise
 
-    def _mark_complete(self, key: RunKey) -> None:
-        """Journal ``key`` as fully done (cache entry + exports on disk)."""
-        if self.journal is not None:
-            self.journal.mark(key)
+    def completed_record(self, key: RunKey) -> RunRecord | None:
+        """``key``'s record if it needs no execution, else ``None``.
+
+        The one completion rule of every dispatcher (serial runs,
+        :func:`repro.experiments.parallel.split_items`, the service): a
+        cache hit counts only when its telemetry export, if this runner
+        collects telemetry, is also on disk.  Otherwise the simulation
+        re-runs, bit-identically, so the rewritten entry does not change.
+        """
+        rec = self._cache_get(key)
+        if rec is None:
+            return None
+        teldir = self.telemetry_path(key)
+        if teldir is not None and not exports_complete(teldir):
+            return None
+        return rec
 
     def run(
         self,
@@ -456,24 +456,13 @@ class ExperimentRunner:
         stop: str,
         warmup_uops: int,
     ) -> RunRecord:
-        """The cached-execution body shared by :meth:`run`/:meth:`run_single`.
-
-        With telemetry enabled, a cached record is only honoured when its
-        telemetry export is also on disk (keys the resume journal vouches
-        for skip that scan); otherwise the simulation re-runs
-        (bit-identical, so the rewritten cache entry does not change).
-        """
-        tel, teldir = self._telemetry_for(key)
-        cached = self._cache_get(key)
-        if cached is not None and (
-            key in self.resume_completed
-            or teldir is None
-            or exports_complete(teldir)
-        ):
-            self._mark_complete(key)
+        """The cached-execution body shared by :meth:`run`/:meth:`run_single`."""
+        cached = self.completed_record(key)
+        if cached is not None:
             self._notify_run(key, cached=True)
             return cached
         self._check_abort()
+        tel, teldir = self._telemetry_for(key)
         res = run_simulation(
             config,
             self._make_policy(policy),
@@ -491,7 +480,6 @@ class ExperimentRunner:
         if tel is not None and teldir is not None:
             self._export_telemetry(tel, teldir, key)
         self._cache_put(key, rec)
-        self._mark_complete(key)
         self.sims_run += 1
         self._notify_run(key, cached=False)
         return rec

@@ -2,9 +2,9 @@
 
 The sweep engine (:mod:`repro.experiments.parallel`) made work units
 idempotent and resumable: every simulation is a pure function of its
-:class:`WorkItem`, results are content-addressed in the disk cache, and
-completion is journaled.  This package adds the missing piece for
-multi-host scale-out — a **transport** — behind one switch:
+:class:`WorkItem`, and results are content-addressed in the disk cache,
+which is the sweep's only checkpoint.  This package adds the missing
+piece for multi-host scale-out — a **transport** — behind one switch:
 
 * ``executor="local"`` (default): today's persistent shared process pool,
   byte-identical behaviour, zero new overhead;
@@ -15,9 +15,9 @@ multi-host scale-out — a **transport** — behind one switch:
 Either way the caller is :meth:`ExperimentRunner.sweep`, workers run
 :func:`repro.experiments.parallel._run_item` on traces loaded from the
 trace cache, and every result lands through
-:func:`repro.experiments.parallel.merge_result` in the same cache +
-journal, so a distributed sweep is bit-identical to a serial one and
-``--resume`` works unchanged across coordinator restarts.  Executor
+:func:`repro.experiments.parallel.merge_result` in the same cache,
+so a distributed sweep is bit-identical to a serial one and re-running
+it after a coordinator restart executes only the missing keys.  Executor
 resolution mirrors the engine's other knobs: explicit argument >
 ``REPRO_EXECUTOR`` environment > ``local``, failing fast on unknown
 names.

@@ -1,8 +1,8 @@
 """Fabric coordinator: serve work items to remote workers over TCP.
 
 The coordinator is the multi-host analogue of the persistent local pool in
-:mod:`repro.experiments.parallel`: one process owns the result cache, the
-checkpoint journal and the cost model, and *leases* cache-missing work
+:mod:`repro.experiments.parallel`: one process owns the result cache and the
+cost model, and *leases* cache-missing work
 items to however many workers dial in (``repro-sim worker --connect``).
 Workers are stateless executors — each item carries everything needed to
 rebuild its traces from seeds (hitting the worker's local trace-synthesis
@@ -15,16 +15,16 @@ Scheduling mirrors the local engine exactly:
 * each worker advertises a bounded in-flight **window** (its ``hello``),
   so a fast worker streams items back-to-back while a slow one is never
   buried — cross-host work stealing without a shared queue;
-* every completed item lands in the coordinator's cache + journal through
+* every completed item lands in the coordinator's cache through
   :func:`repro.experiments.parallel.merge_result`, the merge the local
-  pool and the service use, so ``--resume`` works unchanged across
-  coordinator restarts.
+  pool and the service use, so re-running the sweep after a coordinator
+  restart executes only the keys that never landed.
 
 Failure model: a worker is alive while its socket speaks (results or the
 heartbeat thread's beacons).  A closed socket or a silent
 ``lease_timeout`` drops the worker and **re-queues its leased items** for
-the survivors.  Because the journal ⊆ cache invariant makes items
-idempotent, a lease that was actually completed twice (worker died after
+the survivors.  Because items are deterministic and cache writes
+atomic, a lease that was actually completed twice (worker died after
 computing, before the result landed) is byte-identical both times — the
 first result wins, duplicates are discarded, and the sweep completes each
 key exactly once (``scripts/fabric_smoke.py`` SIGKILLs a worker mid-sweep
@@ -224,7 +224,7 @@ class FabricHub:
         """Serve the cache-missing ``items`` to connected workers.
 
         Blocks until every item is completed (results merged into the
-        runner's cache + journal, cost model calibrated) and returns the
+        runner's cache, cost model calibrated) and returns the
         number executed — the remote counterpart of
         :func:`repro.experiments.parallel.run_items`.
         """
@@ -367,7 +367,7 @@ class FabricHub:
         if failure:
             raise RuntimeError(
                 f"fabric sweep {label!r} failed: {failure}; completed work "
-                "is cached and journaled — re-run, optionally with --resume"
+                "is cached — re-run"
             )
         sweep.raise_if_aborted()
         return sweep.executed

@@ -229,7 +229,7 @@ class FairScheduler:
         """Queue ``payload`` for ``name`` or raise a 429-shaped error.
 
         ``limited=False`` bypasses the token bucket (service restart
-        re-admitting journaled jobs must never be rate-limited out of
+        re-admitting restored jobs must never be rate-limited out of
         its own recovery).
         """
         state = self.tenant(name)

@@ -1,7 +1,7 @@
 """Simulation-as-a-service: an asyncio HTTP/JSON front end over the pool.
 
 One :class:`Service` puts the existing engine — persistent worker pool,
-content-addressed result cache, checkpoint journal — behind a small
+content-addressed result cache — behind a small
 HTTP/1.1 API so many concurrent clients share one simulation pool:
 
 * ``POST /v1/runs`` / ``POST /v1/sweeps`` — submit a job (``X-Tenant``
@@ -23,7 +23,7 @@ cache uses, so identical work is never repeated):
    coalesce) and then the disk cache (hit → complete instantly);
 3. *cache level* — everything that does run lands through
    :func:`repro.experiments.parallel.merge_result`, the merge the local
-   pool and the tcp fabric use (cache, journal, cost model,
+   pool and the tcp fabric use (cache, cost model,
    ``sweep_trace.jsonl``), byte-identical to a direct runner call, so
    future requests (and direct library users) hit it.
 
@@ -35,11 +35,11 @@ granularity, so a huge sweep from one tenant cannot lock out another
 tenant's small job.
 
 **Failure semantics**: on SIGTERM/SIGINT the service stops accepting,
-drains in-flight simulations (caching + journaling each), serializes
+drains in-flight simulations (caching each), serializes
 every non-terminal job to ``<cache_dir>/service_state.json`` and exits;
 a restart on the same ``cache_dir`` re-admits those jobs under their
-original ids, and the sweep journal + result cache turn everything that
-already ran into instant hits — each work item executes exactly once
+original ids, and the result cache turns everything that already ran
+into instant hits — each work item executes exactly once
 across restarts (``scripts/resume_smoke.py --server`` asserts this).
 
 The event loop owns all mutable state; simulations run through
@@ -174,12 +174,10 @@ class Service:
     # -- plumbing -------------------------------------------------------------
 
     def _runner(self, scale: str) -> ExperimentRunner:
-        """The per-scale runner; all share one cache_dir and journal."""
+        """The per-scale runner; all share one cache_dir."""
         runner = self._runners.get(scale)
         if runner is None:
-            runner = ExperimentRunner(
-                scale, cache_dir=self.cache_dir, resume=True
-            )
+            runner = ExperimentRunner(scale, cache_dir=self.cache_dir)
             self._runners[scale] = runner
         return runner
 
@@ -320,7 +318,7 @@ class Service:
             self._publish_item(job, key, "coalesced")
             return
         runner = self._runner(job.spec.scale)
-        if parallel._is_complete(runner, item):
+        if runner.completed_record(key) is not None:
             job.hits += 1
             job.done_items += 1
             self.stats["cache_hits"] += 1
@@ -595,7 +593,7 @@ class Service:
         self._wakeup()
         if self._dispatch_task is not None:
             await self._dispatch_task
-        # Every in-flight simulation completes, is cached and journaled —
+        # Every in-flight simulation completes and is cached —
         # the expensive work survives; only *unlaunched* items wait for
         # the next life.
         while self._inflight:
@@ -612,9 +610,6 @@ class Service:
             self._prep_pool.shutdown(wait=True)
         if self.settings.executor == "process":
             parallel.shutdown()
-        for runner in self._runners.values():
-            if runner.journal is not None:
-                runner.journal.close()
 
     # -- HTTP -----------------------------------------------------------------
 

@@ -34,23 +34,6 @@ def _isolated_trace_cache(tmp_path_factory):
         os.environ["REPRO_TRACE_CACHE"] = old
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_cost_model(tmp_path_factory):
-    """Point sweep-scheduler cost-model persistence at a temp file so test
-    sweeps never rewrite the checked-in ``benchmarks/results/cost_model.json``."""
-    import os
-
-    old = os.environ.get("REPRO_COST_MODEL")
-    os.environ["REPRO_COST_MODEL"] = str(
-        tmp_path_factory.mktemp("cost-model") / "cost_model.json"
-    )
-    yield
-    if old is None:
-        os.environ.pop("REPRO_COST_MODEL", None)
-    else:
-        os.environ["REPRO_COST_MODEL"] = old
-
-
 # A compact, fast default machine for tests: the Table 1 baseline.
 @pytest.fixture(scope="session")
 def config():

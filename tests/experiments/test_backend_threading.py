@@ -13,7 +13,6 @@ at the sweep level, on the actual cache files a figure would consume.
 from __future__ import annotations
 
 import dataclasses
-import json
 
 import pytest
 
@@ -117,19 +116,6 @@ def test_cost_model_prices_cloop_by_engine_that_runs(policy, no_kernel, monkeypa
         assert cloop < vec
     else:
         assert cloop == vec
-
-
-def test_cost_model_migrates_legacy_keys_to_reference(tmp_path):
-    path = tmp_path / "cm.json"
-    path.write_text(
-        json.dumps(
-            {"version": 1, "rates": {"icount|ilp|ff": {"rate": 0.5, "n": 9}}}
-        )
-    )
-    model = costmodel.CostModel(path)
-    assert model.rate("icount", "ilp", True, "reference") == 0.5
-    # the vectorized bucket starts cold (prior), not from reference data
-    assert model.rate("icount", "ilp", True, "vectorized") != 0.5
 
 
 # -- sweep-level bit-identity (the contract that keeps RunKey backend-free) --

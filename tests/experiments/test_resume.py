@@ -1,9 +1,9 @@
-"""Checkpoint/resume: journal durability and the --resume contract.
+"""Re-running a sweep resumes it: the result cache is the only checkpoint.
 
-A key is journaled only after its cache entry (and telemetry exports, when
-enabled) are durably on disk, so ``resume=True`` may trust it outright; a
-killed writer can at worst truncate the final journal line, which loads
-as "not done" and merely re-runs one simulation.
+A cache entry is written atomically, after the run's telemetry exports
+(when enabled), so a rerun of the same sweep executes exactly the keys
+that never finished; a killed writer leaves at worst a stray temp file,
+never a torn entry.
 """
 
 from __future__ import annotations
@@ -16,8 +16,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments import parallel
-from repro.experiments.journal import JOURNAL_NAME, SweepJournal
-from repro.experiments.runner import ExperimentRunner, RunKey, figure2_config
+from repro.experiments.runner import ExperimentRunner, figure2_config
 from repro.trace.workloads import build_pool
 
 POOL_KW = dict(
@@ -38,117 +37,22 @@ def _teardown_pool():
     parallel.shutdown()
 
 
-def _keys(n=3):
-    return [
-        RunKey("smoke", f"cfg{i}", "icount", f"ISPEC00/w{i}", "first_done")
-        for i in range(n)
-    ]
-
-
-# -- journal mechanics ------------------------------------------------------
-
-
-def test_journal_roundtrip(tmp_path):
-    path = tmp_path / JOURNAL_NAME
-    j = SweepJournal(path)
-    keys = _keys(3)
-    for k in keys:
-        j.mark(k)
-    j.mark(keys[0])  # idempotent: no duplicate line
-    j.close()
-    assert len(path.read_text().splitlines()) == 3
-    assert SweepJournal(path).load() == set(keys)
-
-
-def test_journal_skips_truncated_tail(tmp_path):
-    path = tmp_path / JOURNAL_NAME
-    j = SweepJournal(path)
-    keys = _keys(2)
-    for k in keys:
-        j.mark(k)
-    j.close()
-    text = path.read_text()
-    path.write_text(text[: len(text) - 20])  # kill mid-final-line
-    loaded = SweepJournal(path).load()
-    assert loaded == {keys[0]}  # complete line kept, torn line dropped
-
-
-def test_journal_skips_torn_multibyte_tail(tmp_path):
-    """A writer killed mid-write can tear a UTF-8 sequence, not just a JSON
-    line; load() must skip the bad bytes, not raise UnicodeDecodeError."""
-    path = tmp_path / JOURNAL_NAME
-    j = SweepJournal(path)
-    keys = _keys(2)
-    for k in keys:
-        j.mark(k)
-    j.close()
-    with open(path, "ab") as fh:
-        # a final line torn inside a three-byte sequence (€ = e2 82 ac)
-        fh.write('{"scale": "smoke", "workload": "€'.encode()[:-1])
-    loaded = SweepJournal(path).load()  # must not raise
-    assert loaded == set(keys)
-
-
-def test_journal_tolerates_binary_garbage_line(tmp_path):
-    path = tmp_path / JOURNAL_NAME
-    key = _keys(1)[0]
-    j = SweepJournal(path)
-    j.mark(key)
-    j.close()
-    with open(path, "ab") as fh:
-        fh.write(b"\xff\xfe\x00\x80 not utf-8 at all\n")
-    assert SweepJournal(path).load() == {key}
-
-
-def test_journal_skips_foreign_garbage(tmp_path):
-    path = tmp_path / JOURNAL_NAME
-    key = _keys(1)[0]
-    j = SweepJournal(path)
-    j.mark(key)
-    j.close()
-    with open(path, "a") as fh:
-        fh.write('{"unrelated": "dict"}\n[1, 2, 3]\nnot json at all\n\n')
-    assert SweepJournal(path).load() == {key}
-
-
-def test_missing_journal_loads_empty(tmp_path):
-    assert SweepJournal(tmp_path / "absent.journal").load() == set()
-
-
-# -- runner integration -----------------------------------------------------
-
-
-def test_completed_runs_are_journaled(pool, tmp_path):
-    config = figure2_config(32)
-    runner = ExperimentRunner("smoke", pool=pool, cache_dir=tmp_path)
-    runner.sweep(config, POLICIES)
-    done = SweepJournal(tmp_path / JOURNAL_NAME).load()
-    expected = {
-        runner.key_for(config, p, wl) for p in POLICIES for wl in pool.workloads
-    }
-    assert done == expected
-    # journal ⊆ cache: every journaled key has its entry on disk
-    for key in done:
-        assert (tmp_path / key.filename()).exists()
-
-
 def test_resume_runs_only_missing(pool, tmp_path):
-    """A partial run leaves a partial journal; resume executes the rest."""
+    """A partial run leaves a partial cache; a plain rerun executes the rest."""
     config = figure2_config(32)
     first = ExperimentRunner("smoke", pool=pool, cache_dir=tmp_path)
     first.run(config, "icount", pool.workloads[0])  # 1 of 4 done
 
-    resumed = ExperimentRunner("smoke", pool=pool, cache_dir=tmp_path, resume=True)
-    assert len(resumed.resume_completed) == 1
-    resumed.sweep(config, POLICIES)
-    assert resumed.sims_run == len(POLICIES) * len(pool.workloads) - 1
+    rerun = ExperimentRunner("smoke", pool=pool, cache_dir=tmp_path)
+    rerun.sweep(config, POLICIES)
+    assert rerun.sims_run == len(POLICIES) * len(pool.workloads) - 1
+    assert rerun.cache_hits == 1
 
 
-def test_resume_trusts_journal_over_telemetry_rescan(pool, tmp_path):
-    """With telemetry on, a cached record normally needs its exports
-    re-verified on disk; a journaled key skips that (the mark happened
-    after the exports were written), so resume does not re-run when the
-    exports later disappear."""
+def test_rerun_regenerates_pruned_telemetry(pool, tmp_path):
+    """With telemetry on, a cached record counts as complete only when its
+    export is on disk too: a rerun re-simulates a key whose export was
+    pruned, rewriting the export and an identical cache entry."""
     config = figure2_config(32)
     cache_dir, tel_dir = tmp_path / "cache", tmp_path / "telemetry"
     wl = pool.workloads[0]
@@ -157,28 +61,27 @@ def test_resume_trusts_journal_over_telemetry_rescan(pool, tmp_path):
     )
     writer.run(config, "icount", wl)
     key = writer.key_for(config, "icount", wl)
+    entry = cache_dir / key.filename()
+    before = entry.read_bytes()
     teldir = writer.telemetry_path(key)
     assert teldir is not None and teldir.is_dir()
+    exported = sorted(p.name for p in teldir.iterdir())
     for f in teldir.iterdir():  # simulate lost/pruned telemetry exports
         f.unlink()
 
     rerun = ExperimentRunner(
         "smoke", pool=pool, cache_dir=cache_dir, telemetry_dir=tel_dir
     )
+    assert rerun.completed_record(key) is None
     rerun.run(config, "icount", wl)
-    assert rerun.sims_run == 1  # without the journal: exports gone -> re-run
-
-    for f in teldir.iterdir():
-        f.unlink()
-    resumed = ExperimentRunner(
-        "smoke", pool=pool, cache_dir=cache_dir, telemetry_dir=tel_dir, resume=True
-    )
-    resumed.run(config, "icount", wl)
-    assert resumed.sims_run == 0  # journal vouches for the key
+    assert rerun.sims_run == 1
+    assert sorted(p.name for p in teldir.iterdir()) == exported
+    assert entry.read_bytes() == before
+    assert rerun.completed_record(key) is not None
 
 
 def test_parallel_resume_matches_serial(pool, tmp_path):
-    """Resuming on the worker pool completes the sweep bit-identically."""
+    """Re-running on the worker pool completes the sweep bit-identically."""
     import dataclasses
 
     config = figure2_config(32)
@@ -187,21 +90,46 @@ def test_parallel_resume_matches_serial(pool, tmp_path):
 
     partial = ExperimentRunner("smoke", pool=pool, cache_dir=tmp_path)
     partial.run(config, POLICIES[0], pool.workloads[0])
-    resumed = ExperimentRunner(
-        "smoke", pool=pool, cache_dir=tmp_path, jobs=2, resume=True
-    )
-    got = resumed.sweep(config, POLICIES)
-    assert resumed.sims_run == len(expected) - 1
+    rerun = ExperimentRunner("smoke", pool=pool, cache_dir=tmp_path, jobs=2)
+    got = rerun.sweep(config, POLICIES)
+    assert rerun.sims_run == len(expected) - 1
     assert got.keys() == expected.keys()
     for key in expected:
         assert dataclasses.asdict(got[key]) == dataclasses.asdict(expected[key]), key
+
+
+def test_sweep_leaves_only_cache_entries_and_trace(pool, tmp_path, monkeypatch):
+    """A pooled sweep writes its cache entries and ``sweep_trace.jsonl``
+    into ``cache_dir`` and persists nothing else anywhere — no journal,
+    no cost-model calibration file."""
+    from repro.core import ckernel
+
+    # keep reusing the built kernel; only the rest of $HOME moves
+    monkeypatch.setenv("REPRO_CKERNEL_CACHE", ckernel._cache_dir())
+    home = tmp_path / "home"
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home / ".cache"))
+    parallel.shutdown()  # workers fork with the redirected environment
+    config = figure2_config(32)
+    cache_dir = tmp_path / "cache"
+    runner = ExperimentRunner("smoke", pool=pool, cache_dir=cache_dir, jobs=2)
+    runner.sweep(config, POLICIES)
+    parallel.shutdown()
+    expected = {
+        runner.key_for(config, p, wl).filename()
+        for p in POLICIES
+        for wl in pool.workloads
+    }
+    names = {p.name for p in cache_dir.iterdir()}
+    assert names == expected | {"sweep_trace.jsonl"}
+    assert not list(tmp_path.rglob("cost_model.json"))
 
 
 # -- kill/resume smoke ------------------------------------------------------
 
 
 def test_kill_and_resume_smoke(tmp_path):
-    """SIGKILL a sweep mid-run; a --resume run completes exactly the rest
+    """SIGKILL a sweep mid-run; a plain rerun completes exactly the rest
     (scripts/resume_smoke.py, also exercised by CI)."""
     repo = Path(__file__).resolve().parents[2]
     proc = subprocess.run(
@@ -210,8 +138,7 @@ def test_kill_and_resume_smoke(tmp_path):
         capture_output=True, text=True, timeout=300,
         env={**__import__("os").environ,
              "PYTHONPATH": str(repo / "src"),
-             "REPRO_TRACE_CACHE": str(tmp_path / "traces"),
-             "REPRO_COST_MODEL": str(tmp_path / "cm.json")},
+             "REPRO_TRACE_CACHE": str(tmp_path / "traces")},
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     summary = json.loads(proc.stdout.splitlines()[-1])

@@ -112,9 +112,8 @@ def test_cost_model_prior_ordering(pool):
     assert model.estimate(mem_item) > model.estimate(ilp_item)
 
 
-def test_cost_model_observe_and_persist(pool, tmp_path):
-    path = tmp_path / "cm.json"
-    model = costmodel.CostModel(path)
+def test_cost_model_observe_calibrates(pool):
+    model = costmodel.CostModel()
     item = _item(pool)
     prior = model.estimate(item)
     # feed consistent observations 3x the prior: EWMA should move the
@@ -122,29 +121,6 @@ def test_cost_model_observe_and_persist(pool, tmp_path):
     for _ in range(8):
         model.observe(item, prior * 3)
     assert model.estimate(item) > prior * 2
-    assert model.save() is True
-    assert model.save() is False  # clean: no rewrite
-
-    reloaded = costmodel.CostModel(path)
-    assert reloaded.estimate(item) == pytest.approx(model.estimate(item))
-
-
-def test_cost_model_corrupt_file_starts_cold(pool, tmp_path):
-    path = tmp_path / "cm.json"
-    path.write_text("{not json")
-    model = costmodel.CostModel(path)
-    item = _item(pool)
-    assert model.estimate(item) > 0  # falls back to priors
-    model.observe(item, 0.5)
-    assert model.save() is True
-    json.loads(path.read_text())  # overwritten with valid calibration
-
-
-def test_cost_model_env_disable(monkeypatch):
-    monkeypatch.setenv("REPRO_COST_MODEL", "0")
-    assert costmodel.default_path() is None
-    model = costmodel.CostModel(costmodel.default_path())
-    assert model.save() is False
 
 
 # -- progress reporting -----------------------------------------------------
@@ -334,7 +310,6 @@ print("RAN", runner.sims_run)
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[2] / "src")
     env["REPRO_TRACE_CACHE"] = str(tmp_path / "traces")
-    env["REPRO_COST_MODEL"] = str(tmp_path / "cm.json")
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, timeout=120, env=env,

@@ -11,6 +11,7 @@ run's.
 from __future__ import annotations
 
 import dataclasses
+import json
 import socket
 import threading
 import time
@@ -19,7 +20,6 @@ import pytest
 
 import repro.fabric as fabric
 from repro.experiments import parallel
-from repro.experiments.journal import JOURNAL_NAME
 from repro.experiments.runner import ExperimentRunner, figure2_config
 from repro.fabric import protocol
 from repro.fabric.coordinator import FabricHub, FabricSettings
@@ -65,6 +65,13 @@ def _cache_tree(cache_dir):
         for p in cache_dir.glob("*.json")
         if p.name != "sweep_trace.jsonl"
     }
+
+
+def _trace_rows(cache_dir):
+    """``(policy, workload)`` per executed item: the merge appends one
+    ``sweep_trace.jsonl`` row per execution, with no in-process dedup."""
+    lines = (cache_dir / "sweep_trace.jsonl").read_text().splitlines()
+    return [(row["policy"], row["workload"]) for row in map(json.loads, lines)]
 
 
 # -- executor resolution --------------------------------------------------------
@@ -116,9 +123,9 @@ def test_tcp_sweep_is_byte_identical_to_serial(pool, tmp_path):
             expected[key]
         ), key
     assert _cache_tree(tcp_dir) == _cache_tree(serial_dir)
-    # journal complete and duplicate-free
-    lines = (tcp_dir / JOURNAL_NAME).read_text().splitlines()
-    assert len(lines) == len(set(lines)) == len(expected)
+    # every key executed exactly once: one trace row each
+    rows = _trace_rows(tcp_dir)
+    assert len(rows) == len(set(rows)) == len(expected)
 
 
 # -- failure paths ---------------------------------------------------------------
@@ -184,8 +191,8 @@ def test_silent_worker_leases_expire_and_requeue(pool, tmp_path):
     assert leech.leased > 0
     assert hub.drops >= 1
     assert hub.requeued >= leech.leased
-    lines = (tmp_path / "cache" / JOURNAL_NAME).read_text().splitlines()
-    assert len(lines) == len(set(lines)) == len(items)
+    rows = _trace_rows(tmp_path / "cache")
+    assert len(rows) == len(set(rows)) == len(items)
 
 
 def test_worker_death_requeues_to_survivor(pool, tmp_path):
@@ -265,8 +272,8 @@ def test_duplicate_results_are_discarded(pool, tmp_path):
     assert doubler.sent == 2 * len(items)
     assert executed == len(items)  # every duplicate discarded
     assert runner.sims_run == len(items)
-    lines = (tmp_path / "cache" / JOURNAL_NAME).read_text().splitlines()
-    assert len(lines) == len(set(lines)) == len(items)
+    rows = _trace_rows(tmp_path / "cache")
+    assert len(rows) == len(set(rows)) == len(items)
 
 
 def test_version_mismatch_is_refused(pool, tmp_path):
