@@ -1,12 +1,14 @@
 """On-demand C kernel build and load (cffi ABI mode, soft dependency).
 
-The whole-loop engine (:mod:`repro.core.cloop`) ships its kernel as C
-source and compiles it **on demand** with cffi and the system C
-compiler into a shared library under a persistent per-user cache
-directory (``REPRO_CKERNEL_CACHE``, default ``~/.cache/repro/ckernel``;
-never inside the repository), loaded in ABI mode.  The build is
-content-hashed and file-locked, so it runs once per machine per kernel
-version even with concurrent sweep workers.
+The whole-loop engine (:mod:`repro.core.cloop`) ships its kernel as the
+package files ``cloop.c`` and ``cloop.h`` and compiles ``cloop.c`` **on
+demand** with the system C compiler into a shared library under a
+persistent per-user cache directory (``REPRO_CKERNEL_CACHE``, default
+``~/.cache/repro/ckernel``; never inside the repository).  cffi loads
+it in ABI mode, with ``cloop.h`` as its cdef: the one declaration of
+the Python/C interface, which ``cloop.c`` also includes.  The build is
+keyed by a content hash of both files and file-locked, so it runs once
+per machine per kernel version even with concurrent sweep workers.
 
 It is a *soft* dependency by design:
 
@@ -27,6 +29,10 @@ import os
 import subprocess
 import sys
 import tempfile
+from pathlib import Path
+
+#: the kernel source; the header beside it declares its interface
+KERNEL_SOURCE = Path(__file__).with_name("cloop.c")
 
 _ENV_DISABLE = "REPRO_NO_CKERNEL"
 _ENV_CACHE = "REPRO_CKERNEL_CACHE"
@@ -94,11 +100,19 @@ def _cache_dir() -> str:
         return tempfile.gettempdir()
 
 
-def build_shared_lib(source: str, stem: str) -> str:
-    """Compile ``source`` (or reuse a cached build); return the ``.so`` path.
+def kernel_tag(source: Path) -> str:
+    """Content hash of a kernel: the C source and the header beside it."""
+    h = hashlib.sha256()
+    for path in (source, source.with_suffix(".h")):
+        h.update(hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()[:16]
 
-    The library lands in :func:`_cache_dir` keyed by a content hash of
-    the C source, so rebuilds only happen when the kernel changes — and
+
+def build_shared_lib() -> str:
+    """Compile the kernel (or reuse a cached build); return the ``.so`` path.
+
+    The library lands in :func:`_cache_dir` keyed by :func:`kernel_tag`,
+    so rebuilds only happen when the kernel or its header changes — and
     never write inside the repository.  Concurrent builders (parallel
     sweep workers on a cold cache) serialize on a file lock; the final
     publish is an atomic rename either way, so a lock-less filesystem
@@ -107,10 +121,9 @@ def build_shared_lib(source: str, stem: str) -> str:
     cc = _find_compiler()
     if cc is None:
         raise RuntimeError("no C compiler (cc/gcc/clang) on PATH")
-    tag = hashlib.sha256(source.encode()).hexdigest()[:16]
-    cache = _cache_dir()
     ext = ".dylib" if sys.platform == "darwin" else ".so"
-    lib_path = os.path.join(cache, f"{stem}_{tag}{ext}")
+    name = f"repro_cloop_{kernel_tag(KERNEL_SOURCE)}{ext}"
+    lib_path = os.path.join(_cache_dir(), name)
     if os.path.exists(lib_path):
         return lib_path
     lock_path = lib_path + ".lock"
@@ -125,12 +138,9 @@ def build_shared_lib(source: str, stem: str) -> str:
             lock_fd = None  # no flock here; atomic rename still protects us
         if os.path.exists(lib_path):  # lost the race; winner already built
             return lib_path
-        src_path = os.path.join(cache, f"{stem}_{tag}.c")
-        with open(src_path, "w") as f:
-            f.write(source)
         build_path = lib_path + f".build-{os.getpid()}"
         subprocess.run(
-            [cc, "-O2", "-shared", "-fPIC", "-o", build_path, src_path],
+            [cc, "-O2", "-shared", "-fPIC", "-o", build_path, str(KERNEL_SOURCE)],
             check=True,
             capture_output=True,
             text=True,
@@ -148,7 +158,7 @@ def build_shared_lib(source: str, stem: str) -> str:
             os.close(lock_fd)
 
 
-def load_shared_lib(source: str, cdef: str, stem: str):
+def load_shared_lib():
     """Build (or reuse) and dlopen the kernel; returns ``(lib, ffi)``.
 
     Raises ``RuntimeError`` with a human-readable reason on any failure
@@ -165,9 +175,9 @@ def load_shared_lib(source: str, cdef: str, stem: str):
     try:
         import cffi
 
-        lib_path = build_shared_lib(source, stem)
+        lib_path = build_shared_lib()
         ffi = cffi.FFI()
-        ffi.cdef(cdef)
+        ffi.cdef(KERNEL_SOURCE.with_suffix(".h").read_text())
         lib = ffi.dlopen(lib_path)
     except Exception as exc:  # noqa: BLE001 - soft dependency by contract
         if isinstance(exc, subprocess.CalledProcessError):

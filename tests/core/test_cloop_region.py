@@ -18,12 +18,27 @@ import pytest
 
 from repro.core.backends import make_processor
 from repro.core import ckernel
-from repro.core.cloop import REGION_DONE, REGION_LIMIT, CloopProcessor, in_c_table
+from repro.core.cloop import (
+    REGION_DONE,
+    REGION_LIMIT,
+    CloopProcessor,
+    _CloopContext,
+    in_c_table,
+)
 from repro.policies import POLICY_NAMES, make_policy
 
 
 def _proc(config, traces, policy="icount", **kw):
     return make_processor("cloop", config, make_policy(policy), list(traces), **kw)
+
+
+def _require_kernel():
+    # only a missing toolchain (or the env override) skips: a kernel that
+    # fails to build must fail the kernel leg, not hide behind the
+    # bit-identical fallback
+    reason = ckernel._toolchain_reason()
+    if reason is not None:
+        pytest.skip(f"C kernel unavailable: {reason}")
 
 
 @pytest.fixture(params=["kernel", "fallback"])
@@ -32,12 +47,7 @@ def mode(request, monkeypatch):
     if request.param == "fallback":
         monkeypatch.setenv("REPRO_NO_CKERNEL", "1")
     else:
-        # only a missing toolchain (or the env override) skips: a kernel
-        # that fails to build must fail the kernel leg, not hide behind
-        # the bit-identical fallback
-        reason = ckernel._toolchain_reason()
-        if reason is not None:
-            pytest.skip(f"C kernel unavailable: {reason}")
+        _require_kernel()
     return request.param
 
 
@@ -178,8 +188,8 @@ def test_failed_build_is_remembered(config, ilp_trace, mem_trace, monkeypatch):
     monkeypatch.setattr(ckernel, "_load_failure", None)
     attempts = []
 
-    def failing_build(source, stem):
-        attempts.append(stem)
+    def failing_build():
+        attempts.append(1)
         raise RuntimeError("compiler exploded")
 
     monkeypatch.setattr(ckernel, "build_shared_lib", failing_build)
@@ -187,6 +197,47 @@ def test_failed_build_is_remembered(config, ilp_trace, mem_trace, monkeypatch):
         proc = _proc(config, [ilp_trace, mem_trace])
         assert proc.kernel_active() is False
         assert "compiler exploded" in proc._cl_error
-    assert attempts == ["repro_cloop"]
+    assert attempts == [1]
     assert "compiler exploded" in ckernel.kernel_unavailable_reason()
     assert "compiler exploded" in optional_backend_notes()["cloop"]
+
+
+def test_config_names_every_struct_field(config, ilp_trace, mem_trace, monkeypatch):
+    """The Python config fills ``struct cloop_cfg`` by name, field for
+    field; a missing or unknown field stops adoption with an error that
+    names it (cffi alone would zero-fill the missing one)."""
+    _require_kernel()
+    _, ffi = ckernel.load_shared_lib()
+    fields = {name for name, _ in ffi.typeof("struct cloop_cfg").fields}
+    proc = _proc(config, [ilp_trace, mem_trace])
+    assert set(_CloopContext._config(proc)) == fields
+
+    build = _CloopContext._config
+
+    def skewed(proc):
+        cfg = build(proc)
+        del cfg["l2_lat"]
+        cfg["l3_lat"] = 40
+        return cfg
+
+    monkeypatch.setattr(_CloopContext, "_config", staticmethod(skewed))
+    proc = _proc(config, [ilp_trace, mem_trace])
+    assert proc.kernel_active() is False
+    assert "missing ['l2_lat']" in proc._cl_error
+    assert "unknown ['l3_lat']" in proc._cl_error
+
+
+def test_kernel_tag_covers_source_and_header(tmp_path):
+    """Editing either kernel file changes the build tag, so a library
+    built against an older header is never loaded."""
+    src = tmp_path / "cloop.c"
+    hdr = tmp_path / "cloop.h"
+    src.write_bytes(ckernel.KERNEL_SOURCE.read_bytes())
+    hdr.write_bytes(ckernel.KERNEL_SOURCE.with_suffix(".h").read_bytes())
+    tag = ckernel.kernel_tag(src)
+    assert tag == ckernel.kernel_tag(ckernel.KERNEL_SOURCE)
+    hdr.write_text(hdr.read_text() + "/* edited */\n")
+    header_tag = ckernel.kernel_tag(src)
+    assert header_tag != tag
+    src.write_text(src.read_text() + "/* edited */\n")
+    assert ckernel.kernel_tag(src) not in (tag, header_tag)
