@@ -19,11 +19,11 @@ Registered engines:
 ``cloop``
     the whole-loop compiled engine (the default): the entire cycle loop
     runs in one resident C kernel, re-entering Python only at
-    observable-event boundaries (:mod:`repro.core.cloop`).  Icount and
-    the trivial-admission family run natively in a C policy table;
-    everything else — and any environment without cffi or a C compiler,
-    or with ``REPRO_NO_CKERNEL`` set — runs ``vectorized``,
-    bit-identical.
+    observable-event boundaries (:mod:`repro.core.cloop`).  Every
+    Figure 2–5 scheme (Icount, Stall, Flush+ and the IQ partitions)
+    runs natively in a C policy table; everything else — and any
+    environment without cffi or a C compiler, or with
+    ``REPRO_NO_CKERNEL`` set — runs ``vectorized``, bit-identical.
 
 Selection precedence: explicit ``backend=`` argument >
 ``REPRO_BACKEND`` environment variable > :data:`DEFAULT_BACKEND`.

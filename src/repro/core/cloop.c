@@ -295,6 +295,7 @@ typedef struct {
     i64 fbu, rbu;                 /* fetch/rename blocked-until */
     i64 wrong_path;
     i64 icount, l2_pending, first_l2_miss;
+    i64 gated, flushed;           /* Stall's rename gate, Flush+'s flush */
     i64 committed, frp;           /* frp = fetched_right_path */
     i64 wp_cursor;
     ring fq, infl, rob;
@@ -352,9 +353,10 @@ typedef struct cloop {
     i64 *p_age, *p_gen, *p_cl, *p_pref, *p_pd, *p_pp, *p_ppc, *p_pr;
     i64 *p_wc, *p_mob, *p_w0, *p_w1;
     u8 *p_destk, *p_pcls, *p_wp, *p_iss, *p_sq, *p_done, *p_misp, *p_orph;
+    u8 *p_l2m;                    /* a right-path load that missed in L2 */
 
-    /* select structures */
-    vec heap[2], deferred[2], defer2[2], passed[2];
+    /* select structures (selected: this cluster's port winners) */
+    vec heap[2], deferred[2], defer2[2], passed[2], selected;
 
     /* threads */
     tctx *t;
@@ -640,6 +642,7 @@ static int pool_grow(cloop *c) {
     pgrow_u8(c->p_done, ocap, ncap, &c->p_done);
     pgrow_u8(c->p_misp, ocap, ncap, &c->p_misp);
     pgrow_u8(c->p_orph, ocap, ncap, &c->p_orph);
+    pgrow_u8(c->p_l2m, ocap, ncap, &c->p_l2m);
     c->free_slots =
         (i64 *)realloc(c->free_slots, (size_t)ncap * sizeof(i64));
     /* free_slots.extend(range(ncap-1, ocap-1, -1)): pop() -> ocap first */
@@ -678,6 +681,7 @@ static i64 make_copy(cloop *c, i64 tid, i64 consumer_sl, i64 arch,
     c->p_done[sl] = 0;
     c->p_misp[sl] = 0;
     c->p_orph[sl] = 0;
+    c->p_l2m[sl] = 0;
     i64 w0 = -1, wait = 0;
     if (!c->files[home][k].ready[hphys]) {
         add_waiter(c, home, k, hphys, sl);
@@ -824,17 +828,83 @@ static void resolve_misp(cloop *c, i64 branch_sl) {
     c->st.mispredicts++;
 }
 
+/* ---- the L2-miss-reaction axis (transcribes policies.stall and
+ * policies.flushplus over Processor.flush_thread) ---- */
+
+/* Flush+'s primitive: squash everything of tid younger than keep_age
+ * (-1: its oldest pending L2-missing load; no flush when there is none),
+ * rewind the cursor, block its fetch/rename until the miss resolves. */
+static void flush_thread(cloop *c, i64 tid, i64 keep_age) {
+    tctx *t = &c->t[tid];
+    if (keep_age < 0) {
+        for (i64 i = 0; i < t->infl.n; i++) {
+            i64 sl = ring_get(&t->infl, i);
+            if (c->p_l2m[sl] && !c->p_done[sl] &&
+                (keep_age < 0 || c->p_age[sl] < keep_age))
+                keep_age = c->p_age[sl];
+        }
+        if (keep_age < 0) return;
+    }
+    squash_younger(c, tid, keep_age, 1);
+    if (c->err) return;
+    t->flushed = 1;
+    c->st.flushes++;
+}
+
+/* on_l2_miss: the right-path load in slot sl just missed in L2 */
+static void on_l2_miss(cloop *c, i64 sl) {
+    i64 tid = c->p_tid[sl];
+    tctx *t = &c->t[tid];
+    if (c->cfg.miss_reaction == CLOOP_MISS_STALL) {
+        t->gated = 1;
+        return;
+    }
+    /* Flush+: with several missers the earliest continues, the rest are
+     * flushed (ties go to the lowest tid, like Python's min) */
+    i64 n_missing = 0, earliest = -1, earliest_at = 0;
+    for (i64 ti = 0; ti < c->cfg.n_threads; ti++) {
+        const tctx *m = &c->t[ti];
+        if (m->l2_pending <= 0) continue;
+        n_missing++;
+        i64 at = m->first_l2_miss >= 0 ? m->first_l2_miss : c->cycle;
+        if (earliest < 0 || at < earliest_at) {
+            earliest = ti;
+            earliest_at = at;
+        }
+    }
+    if (n_missing <= 1) {
+        if (!t->flushed) flush_thread(c, tid, c->p_age[sl]);
+        return;
+    }
+    for (i64 ti = 0; ti < c->cfg.n_threads; ti++) {
+        tctx *m = &c->t[ti];
+        if (m->l2_pending <= 0) continue;
+        if (ti == earliest) {
+            m->flushed = 0;   /* resume even though its miss is pending */
+        } else if (!m->flushed) {
+            flush_thread(c, ti, ti == tid ? c->p_age[sl] : -1);
+            if (c->err) return;
+        }
+    }
+}
+
+/* on_l2_fill: the last outstanding L2 miss of t was serviced */
+static void on_l2_fill(cloop *c, tctx *t) {
+    if (c->cfg.miss_reaction == CLOOP_MISS_STALL) t->gated = 0;
+    else t->flushed = 0;
+}
+
 /* ---- policy admission (transcribes may_dispatch_group loops) ---- */
 static int may_dispatch_group(cloop *c, i64 tid, i64 n0, i64 n1) {
-    switch (c->cfg.policy_kind) {
-    case 0:                     /* ICOUNT: admit everything */
+    switch (c->cfg.iq_scheme) {
+    case CLOOP_IQ_NONE:         /* Icount: admit everything */
         return 1;
-    case 1: {                   /* CISP: total-IQ equal share, one call */
+    case CLOOP_IQ_CISP: {       /* total-IQ equal share, one call */
         i64 used = c->iq_pt[0][tid] + c->iq_pt[1][tid];
         i64 total_cap = c->cfg.iq_cap[0] + c->cfg.iq_cap[1];
         return used + (n0 + n1) <= total_cap / c->cfg.n_threads;
     }
-    case 2: {                   /* CSSP: per-cluster equal IQ share */
+    case CLOOP_IQ_CSSP: {       /* per-cluster equal IQ share */
         for (i64 cl = 0; cl < 2; cl++) {
             i64 n = cl ? n1 : n0;
             if (!n) continue;
@@ -844,7 +914,7 @@ static int may_dispatch_group(cloop *c, i64 tid, i64 n0, i64 n1) {
         }
         return 1;
     }
-    case 3: {                   /* CSPSP: reserved slice + shared pool */
+    case CLOOP_IQ_CSPSP: {      /* reserved slice + shared pool */
         for (i64 cl = 0; cl < 2; cl++) {
             i64 n = cl ? n1 : n0;
             if (!n) continue;
@@ -867,7 +937,7 @@ static int may_dispatch_group(cloop *c, i64 tid, i64 n0, i64 n1) {
         }
         return 1;
     }
-    default: {                  /* PC: home cluster only */
+    default: {                  /* CLOOP_IQ_PC: home cluster only */
         i64 homecl = tid % 2;
         if (n0 && homecl != 0) return 0;
         if (n1 && homecl != 1) return 0;
@@ -955,6 +1025,11 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
 
         cycle = nxt;
         c->cycle = nxt;
+        if (c->cfg.miss_reaction == CLOOP_MISS_STALL) {
+            /* Stall's on_cycle: account the gated threads */
+            for (i64 ti = 0; ti < c->cfg.n_threads; ti++)
+                if (c->t[ti].gated) c->st.stalled_thread_cycles++;
+        }
 
         /* ================= commit ================= */
         {
@@ -1056,7 +1131,11 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                 for (i64 i = 0; i < c->pool[bi].n; i++) {
                     tctx *t = &c->t[c->pool[bi].d[i]];
                     t->l2_pending--;
-                    if (t->l2_pending == 0) t->first_l2_miss = -1;
+                    if (t->l2_pending == 0) {
+                        t->first_l2_miss = -1;
+                        if (c->cfg.miss_reaction != CLOOP_MISS_NONE)
+                            on_l2_fill(c, t);
+                    }
                 }
                 pool_release(c, bi);
             }
@@ -1122,7 +1201,9 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
             vec *heap = &c->heap[ci];
             vec *def = &c->deferred[ci];
             vec *pass = &c->passed[ci];
+            vec *sel = &c->selected;
             vec_reset(pass);
+            vec_reset(sel);
             i64 di = 0, dn = def->n;
             if (heap->n || dn) {
                 i64 scanned = 0;
@@ -1172,39 +1253,7 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                         vec_push(pass, key);
                         continue;
                     }
-                    /* fused _start_execution (port claimed) */
-                    n_issued++;
-                    c->p_iss[sl] = 1;
-                    i64 tid = c->p_tid[sl];
-                    c->iq_pt[ci][tid]--;
-                    tctx *t = &c->t[tid];
-                    t->icount--;
-                    i64 opc = c->p_op[sl];
-                    i64 lat = c->p_lat[sl];
-                    if (opc == c->cfg.OP_LOAD) {
-                        i64 ml = c->p_ml[sl];
-                        if (imap_has(&c->mob_lines[tid], ml)) {
-                            c->mob_forwards++;
-                            lat += 1;
-                        } else {
-                            int l2m;
-                            lat += mem_access(c, ml, cycle, &l2m);
-                            if (l2m && !c->p_wp[sl]) {
-                                if (t->l2_pending == 0)
-                                    t->first_l2_miss = cycle;
-                                t->l2_pending++;
-                                wheel_push(c, &c->fill_map, cycle + lat,
-                                           tid);
-                            }
-                        }
-                    } else if (opc == c->cfg.OP_STORE) {
-                        int l2m;
-                        i64 ml = c->p_ml[sl];
-                        mem_access(c, ml, cycle, &l2m);
-                        c->p_mob[sl] = 2;
-                        mob_remember(c, tid, ml);
-                    }
-                    wheel_push(c, &c->ev_map, cycle + lat, key);
+                    vec_push(sel, key);   /* port claimed */
                 }
                 if (di || pass->n) {
                     vec *d2 = &c->defer2[ci];
@@ -1216,6 +1265,48 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                     *def = *d2;
                     *d2 = tmp;
                 }
+            }
+            /* two-phase _start_execution: a Flush+ flush fired by one
+             * winner's L2 miss may squash a later winner this cycle */
+            for (i64 i = 0; i < sel->n; i++) {
+                i64 key = sel->d[i];
+                i64 sl = key & SM;
+                if (c->p_sq[sl]) continue;
+                n_issued++;
+                c->p_iss[sl] = 1;
+                i64 tid = c->p_tid[sl];
+                c->iq_pt[ci][tid]--;
+                tctx *t = &c->t[tid];
+                t->icount--;
+                i64 opc = c->p_op[sl];
+                i64 lat = c->p_lat[sl];
+                if (opc == c->cfg.OP_LOAD) {
+                    i64 ml = c->p_ml[sl];
+                    if (imap_has(&c->mob_lines[tid], ml)) {
+                        c->mob_forwards++;
+                        lat += 1;
+                    } else {
+                        int l2m;
+                        lat += mem_access(c, ml, cycle, &l2m);
+                        if (l2m && !c->p_wp[sl]) {
+                            c->p_l2m[sl] = 1;
+                            if (t->l2_pending == 0) t->first_l2_miss = cycle;
+                            t->l2_pending++;
+                            wheel_push(c, &c->fill_map, cycle + lat, tid);
+                            if (c->cfg.miss_reaction != CLOOP_MISS_NONE) {
+                                on_l2_miss(c, sl);
+                                if (c->err) return CLOOP_ERROR;
+                            }
+                        }
+                    }
+                } else if (opc == c->cfg.OP_STORE) {
+                    int l2m;
+                    i64 ml = c->p_ml[sl];
+                    mem_access(c, ml, cycle, &l2m);
+                    c->p_mob[sl] = 2;
+                    mob_remember(c, tid, ml);
+                }
+                wheel_push(c, &c->ev_map, cycle + lat, key);
             }
             if (n_issued) {
                 c->iq_occ[ci] -= n_issued;
@@ -1270,7 +1361,8 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                     i64 ti = (prr + off) % c->cfg.n_threads;
                     if (excluded & (1LL << ti)) continue;
                     tctx *tt = &c->t[ti];
-                    if (tt->fq.n && tt->rbu <= cycle) {
+                    if (tt->fq.n && !tt->flushed && !tt->gated &&
+                        tt->rbu <= cycle) {
                         if (best < 0 || tt->icount < best_ic) {
                             best = ti;
                             best_ic = tt->icount;
@@ -1452,6 +1544,7 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                         c->p_done[sl] = 0;
                         c->p_misp[sl] = 0;
                         c->p_orph[sl] = 0;
+                        c->p_l2m[sl] = 0;
                     }
                     i64 wait = 0, w0 = -1, w1 = -1;
                     if (s1 >= 0) {
@@ -1560,7 +1653,7 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
             i64 best = -1, best_len = -1;
             for (i64 ti = 0; ti < c->cfg.n_threads; ti++) {
                 tctx *tt = &c->t[ti];
-                if (tt->fbu <= cycle) {
+                if (tt->fbu <= cycle && !tt->flushed) {
                     i64 ql = tt->fq.n;
                     if (ql < c->cfg.fq_cap &&
                         (tt->wrong_path || tt->cursor < tt->n_records)) {
@@ -1613,6 +1706,7 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                                 c->p_done[sl] = 0;
                                 c->p_misp[sl] = 0;
                                 c->p_orph[sl] = 0;
+                                c->p_l2m[sl] = 0;
                                 ring_push(&t->fq, (sl << 1) | 1);
                                 fetched++;
                             }
@@ -1659,6 +1753,7 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                             c->p_done[sl] = 0;
                             c->p_misp[sl] = 0;
                             c->p_orph[sl] = 0;
+                            c->p_l2m[sl] = 0;
                             i64 ind = t->cind[cur];
                             i64 comp = t->ccomp[cur];
                             i64 pc = t->cpc[cur];
@@ -1736,6 +1831,14 @@ long long cloop_run(void *cp, i64 limit, i64 stop_mode, i64 commit_target,
                     c->st.cycles += skipped;
                     c->commit_rr =
                         (c->commit_rr + skipped) % c->cfg.n_threads;
+                    if (c->cfg.miss_reaction == CLOOP_MISS_STALL) {
+                        /* Stall's ff_cycles: gates cannot move inside
+                         * the window, so the account is gated x window */
+                        i64 gated = 0;
+                        for (i64 ti = 0; ti < c->cfg.n_threads; ti++)
+                            gated += c->t[ti].gated ? 1 : 0;
+                        c->st.stalled_thread_cycles += gated * skipped;
+                    }
                     if (tier_b) {
                         for (i64 i = 0; i < c->creplays.n; i++) {
                             i64 pr = c->creplays.d[i] & 7;
@@ -1841,6 +1944,7 @@ void *cloop_new(const struct cloop_cfg *cfg) {
     c->p_done = (u8 *)calloc((size_t)pool_cap, 1);
     c->p_misp = (u8 *)calloc((size_t)pool_cap, 1);
     c->p_orph = (u8 *)calloc((size_t)pool_cap, 1);
+    c->p_l2m = (u8 *)calloc((size_t)pool_cap, 1);
 
     c->t = (tctx *)calloc((size_t)cfg->n_threads, sizeof(tctx));
     for (i64 i = 0; i < cfg->n_threads; i++) {
@@ -1986,6 +2090,8 @@ void cloop_export(void *cp, struct cloop_out *out,
         o->fetch_blocked_until = t->fbu;
         o->rename_blocked_until = t->rbu;
         o->wrong_path = t->wrong_path;
+        o->gated = t->gated;
+        o->flushed = t->flushed;
         o->fq_len = t->fq.n;
         o->inflight_len = t->infl.n;
         o->rob_len = t->rob.n;
@@ -2055,6 +2161,8 @@ void cloop_free(void *cp) {
     free(c->p_wc); free(c->p_mob); free(c->p_w0); free(c->p_w1);
     free(c->p_destk); free(c->p_pcls); free(c->p_wp); free(c->p_iss);
     free(c->p_sq); free(c->p_done); free(c->p_misp); free(c->p_orph);
+    free(c->p_l2m);
+    vec_destroy(&c->selected);
     for (int ci = 0; ci < 2; ci++) {
         vec_destroy(&c->heap[ci]);
         vec_destroy(&c->deferred[ci]);

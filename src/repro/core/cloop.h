@@ -16,7 +16,10 @@ struct cloop_cfg {
     long long rob_cap, rob_unbounded, mob_cap;
     long long icn_links, icn_lat;
     long long num_int, num_arch, imb_threshold;
-    long long policy_kind, dispatch_trivial, memo_on, forced_mode;
+    /* the policy as a point on two axes (enum cloop_iq_scheme and
+     * enum cloop_miss_reaction) */
+    long long iq_scheme, miss_reaction;
+    long long dispatch_trivial, memo_on, forced_mode;
     long long slot_bits, watchdog;
     long long latency[8], copy_pcls;
     long long OP_LOAD, OP_STORE, OP_BRANCH, OP_COPY;
@@ -31,6 +34,22 @@ struct cloop_cfg {
     long long rf_cap[2][2], rf_unbounded, pool_cap;
     /* the rename round-robin pointer the machine starts from */
     long long policy_rr_start;
+};
+
+/* cloop_cfg.iq_scheme: the issue-queue admission scheme (Table 3) */
+enum cloop_iq_scheme {
+    CLOOP_IQ_NONE = 0,    /* Icount: admit everything */
+    CLOOP_IQ_CISP = 1,    /* equal share of the total IQ */
+    CLOOP_IQ_CSSP = 2,    /* equal share of each cluster's IQ */
+    CLOOP_IQ_CSPSP = 3,   /* reserved slice per cluster + shared pool */
+    CLOOP_IQ_PC = 4       /* each thread on its home cluster only */
+};
+
+/* cloop_cfg.miss_reaction: what a right-path L2 miss does to its thread */
+enum cloop_miss_reaction {
+    CLOOP_MISS_NONE = 0,
+    CLOOP_MISS_STALL = 1,     /* gate rename until the miss resolves */
+    CLOOP_MISS_FLUSHPLUS = 2  /* flush younger uops; first misser continues */
 };
 
 /* cloop_run's return codes */
@@ -59,6 +78,7 @@ struct cloop_stats {
     long long rename_stall[5], reg_stall_events[2];
     long long mispredicts, squashed, wp_fetched, wp_renamed;
     long long imbalance[3][2], imbalance_cycles, issue_cycles;
+    long long flushes, stalled_thread_cycles;
 };
 
 /* hits/misses/evictions of one LRU array */
@@ -98,7 +118,7 @@ struct cloop_thread_out {
     long long committed_stat;   /* stats.committed_per_thread */
     long long committed, cursor, fetched_right_path, icount;
     long long l2_pending, first_l2_miss, fetch_blocked_until;
-    long long rename_blocked_until, wrong_path;
+    long long rename_blocked_until, wrong_path, gated, flushed;
     long long fq_len, inflight_len, rob_len, rob_peak;
     long long iq[2], mob;
 };

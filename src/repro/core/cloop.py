@@ -34,15 +34,19 @@ uops.  The transcription preserves
 * every stats/epoch/memo update, including the rename-stall memo and
   the Tier-B replay bookkeeping the fast-forward jump depends on.
 
-The *C policy table* covers the paper's hot schemes — Icount and the
-trivial-admission static-partition family (CISP, CSSP, CSPSP, PC).
-These policies never cross the FFI boundary mid-region: their admission
-checks (`may_dispatch_group`) are transcribed into the kernel, their
-``ff_horizon``/``ff_cycles`` hooks are the base-class no-ops, and their
-rename selection is the inlined ICOUNT scan.  Everything else —
-telemetry runs, policies with live hooks or non-C admission state,
-steering ablations — runs on the inherited ``vectorized`` engine, so one
-instance never mixes C-resident and Python-resident machine state.
+The *C policy table* (:data:`_C_POLICY_AXES`) covers every scheme of
+the paper's Figures 2–5: Icount, Stall, Flush+ and the static IQ
+partitions (CISP, CSSP, CSPSP, PC).  Each is a point on two axes that
+the kernel implements, ``cloop_cfg.iq_scheme`` (none, CISP, CSSP,
+CSPSP, PC: the transcribed ``may_dispatch_group``) and
+``cloop_cfg.miss_reaction`` (none, Stall, Flush+: the transcribed
+``on_l2_miss``/``on_l2_fill``/``on_cycle``/``ff_cycles`` hooks and
+``flush_thread``).  These policies never cross the FFI boundary
+mid-region, and their rename selection is the inlined ICOUNT scan.
+Everything else — telemetry runs, the RF schemes and adaptive
+policies, steering ablations — runs on the inherited ``vectorized``
+engine, so one instance never mixes C-resident and Python-resident
+machine state; ``CloopProcessor._cl_error`` names the reason.
 
 Region API: :meth:`CloopProcessor.run_cycles` runs a bounded region and
 returns a typed exit reason (``"limit"`` or ``"done"``); exit counts are
@@ -60,12 +64,14 @@ from functools import lru_cache
 
 from repro.core.ckernel import kernel_unavailable_reason, load_shared_lib
 from repro.core.processor import _WATCHDOG_CYCLES, DeadlockError
-from repro.core.soa import SLOT_BITS, trace_latencies, trace_soa
+from repro.core.soa import SLOT_BITS, kernel_columns
 from repro.core.vectorized import _BRANCH, _COPY, _LOAD, _STORE, VectorizedProcessor
 from repro.isa import NUM_ARCH_INT, NUM_ARCH_REGS
 from repro.isa.uops import PORT_CLASS_TABLE
 from repro.policies import make_policy
+from repro.policies.flushplus import FlushPlusPolicy
 from repro.policies.icount import IcountPolicy
+from repro.policies.stall import StallPolicy
 from repro.policies.static_partition import (
     CISPPolicy,
     CSPSPPolicy,
@@ -77,14 +83,18 @@ from repro.policies.static_partition import (
 REGION_LIMIT = "limit"
 REGION_DONE = "done"
 
-#: policies the C kernel implements natively (exact type match — a
-#: subclass may override admission and must take the delegation path)
-_C_POLICY_KINDS = {
-    IcountPolicy: 0,
-    CISPPolicy: 1,
-    CSSPPolicy: 2,
-    CSPSPPolicy: 3,
-    PrivateClustersPolicy: 4,
+#: the C policy table: policy class -> (IQ scheme, L2-miss reaction),
+#: the suffixes of ``enum cloop_iq_scheme`` / ``enum cloop_miss_reaction``
+#: in cloop.h.  Exact type match: a subclass may override admission or a
+#: hook and must take the delegation path.
+_C_POLICY_AXES = {
+    IcountPolicy: ("NONE", "NONE"),
+    CISPPolicy: ("CISP", "NONE"),
+    CSSPPolicy: ("CSSP", "NONE"),
+    CSPSPPolicy: ("CSPSP", "NONE"),
+    PrivateClustersPolicy: ("PC", "NONE"),
+    StallPolicy: ("NONE", "STALL"),
+    FlushPlusPolicy: ("NONE", "FLUSHPLUS"),
 }
 
 
@@ -96,7 +106,7 @@ def in_c_table(policy: str) -> bool:
     cost model prices it accordingly.
     """
     try:
-        return type(make_policy(policy)) in _C_POLICY_KINDS
+        return type(make_policy(policy)) in _C_POLICY_AXES
     except KeyError:
         return False
 
@@ -150,6 +160,8 @@ class _CloopContext:
     @staticmethod
     def _config(proc) -> dict:
         """The machine configuration, keyed by ``struct cloop_cfg`` field."""
+        lib, _ = load_shared_lib()
+        iq_scheme, miss_reaction = _C_POLICY_AXES[type(proc.policy)]
         mem = proc.mem
         tc = proc.tc
         return {
@@ -171,7 +183,8 @@ class _CloopContext:
             "num_int": NUM_ARCH_INT,
             "num_arch": NUM_ARCH_REGS,
             "imb_threshold": proc.steering.imbalance_threshold,
-            "policy_kind": _C_POLICY_KINDS[type(proc.policy)],
+            "iq_scheme": getattr(lib, "CLOOP_IQ_" + iq_scheme),
+            "miss_reaction": getattr(lib, "CLOOP_MISS_" + miss_reaction),
             "dispatch_trivial": int(proc._dispatch_trivial),
             "memo_on": int(proc._memo_on),
             "forced_mode": int(proc._forced_cluster is not None),
@@ -235,19 +248,17 @@ class _CloopContext:
         cfg_struct = ffi.new("struct cloop_cfg *", cfg)
         self.c = ffi.gc(lib.cloop_new(cfg_struct), lib.cloop_free)
 
-        # static trace columns: the vectorized fetch columns plus the
-        # slot fill's (port class, dest class, base latency, next slow
-        # record); the kernel memcpy's them, so no keepalive
+        # static trace columns, zero-copy: each row of the contiguous
+        # int64 block is one column, which the kernel memcpy's (so no
+        # keepalive)
         for tid, t in enumerate(proc.threads):
-            soa = trace_soa(t.trace)
-            cols = proc._fetch_cols[tid] + (
-                soa.port_class,
-                soa.dest_class,
-                trace_latencies(t.trace, proc._latency),
-                soa.next_slow,
+            cols = kernel_columns(t.trace, t.mem_offset, proc._latency)
+            lib.cloop_set_trace(
+                self.c,
+                tid,
+                t.n_records,
+                *[ffi.from_buffer("long long[]", col) for col in cols],
             )
-            arrs = [ffi.new("long long[]", [int(x) for x in col]) for col in cols]
-            lib.cloop_set_trace(self.c, tid, t.n_records, *arrs)
 
         # warm state: cache contents (L2 prewarm!), predictor tables
         for which, store in enumerate(self._lru_stores(proc)):
@@ -341,6 +352,8 @@ class _CloopContext:
             s.imbalance[pcls][0], s.imbalance[pcls][1] = st.imbalance[pcls]
         s.imbalance_cycles = st.imbalance_cycles
         s.issue_cycles = st.issue_cycles
+        s.flushes = st.flushes
+        s.stalled_thread_cycles = st.stalled_thread_cycles
 
         for store, lru in zip(self._lru_stores(proc), o.lru):
             store.hits, store.misses = lru.hits, lru.misses
@@ -372,6 +385,8 @@ class _CloopContext:
             t.fetch_blocked_until = th.fetch_blocked_until
             t.rename_blocked_until = th.rename_blocked_until
             t.wrong_path = bool(th.wrong_path)
+            t.gated = bool(th.gated)
+            t.flushed = bool(th.flushed)
             t.rob.peak = th.rob_peak
             iq0[ti], iq1[ti] = th.iq
             mob.per_thread[ti] = th.mob
@@ -381,9 +396,9 @@ class _CloopContext:
 class CloopProcessor(VectorizedProcessor):
     """The whole-cycle-loop compiled backend (``cloop``).
 
-    Inside the C envelope — no telemetry, no live policy hooks, inlinable
-    or forced steering, the inlined ICOUNT rename scan, two clusters and
-    an exactly-matched C-table policy — the entire simulation runs as
+    Inside the C envelope — no telemetry, an exactly-matched C-table
+    policy, inlinable or forced steering, the inlined ICOUNT rename scan
+    and two clusters — the entire simulation runs as
     bounded regions inside one resident kernel, and Python re-enters
     only at region boundaries.  Outside the envelope, or without the
     kernel, every entry point runs the inherited ``vectorized`` engine,
@@ -402,19 +417,27 @@ class CloopProcessor(VectorizedProcessor):
         super().__init__(
             config, policy, traces, steering=steering, telemetry=telemetry
         )
-        self._cloop_ok = (
-            self.tel is None
-            and all(h is None for h in self._hooks.values())
-            and (self._steer_inline or self._forced_cluster is not None)
-            and self._icount_select
-            and len(self.clusters) == 2
-            and type(policy) in _C_POLICY_KINDS
-        )
+        #: why this machine runs on ``vectorized`` (None while C may own it)
+        self._cl_error: str | None = self._envelope_miss()
+        self._cloop_ok = self._cl_error is None
         self._cl = None
         self._cl_failed = False
-        self._cl_error: str | None = None
         #: region exit tallies: {"limit": n, "done": n, "watchdog": n}
         self.region_exits = {REGION_LIMIT: 0, REGION_DONE: 0, "watchdog": 0}
+
+    def _envelope_miss(self) -> str | None:
+        """The first C-envelope condition this machine fails, or None."""
+        if self.tel is not None:
+            return "telemetry attached"
+        if type(self.policy) not in _C_POLICY_AXES:
+            return f"policy {self.policy.name} is outside the C policy table"
+        if not (self._steer_inline or self._forced_cluster is not None):
+            return "steering is neither inlinable nor forced"
+        if not self._icount_select:
+            return "rename selection is not the inlined ICOUNT scan"
+        if len(self.clusters) != 2:
+            return f"{len(self.clusters)} clusters (the kernel models 2)"
+        return None
 
     # -- kernel lifecycle ---------------------------------------------- #
 

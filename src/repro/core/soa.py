@@ -6,8 +6,8 @@ port class from ``PORT_CLASS_TABLE[uop.opclass]``, register class from
 ``dest < NUM_ARCH_INT``, fetch-group breaks from ``opclass``/flag
 fields.  All of that is a pure function of the *trace record*, so the
 fast engines precompute it once per trace with bulk NumPy column
-operations and read flat arrays (plain lists, the fastest random-access
-container in CPython) inside their cycle loops.
+operations and read flat arrays inside their cycle loops (a plain list
+for the Python engine, the fastest random-access container in CPython).
 
 :class:`TraceSoA` holds that immutable per-record static metadata,
 indexed by trace sequence number and cached on the
@@ -15,12 +15,13 @@ indexed by trace sequence number and cached on the
 benchmarks) build it once.  It covers only the right path; wrong-path
 uops are synthesized on the fly.
 
-The ``vectorized`` engine reads these columns at fetch.  The whole-loop
-compiled engine (:mod:`repro.core.cloop`) copies them into C arrays once
-per context and runs the cycle loop over a slot pool of in-flight uops
-whose age-ordered structures hold packed ``(age << SLOT_BITS) | slot``
-keys, so a recycled slot can never be mistaken for its previous
-occupant.
+The ``vectorized`` engine reads ``plain`` at fetch.  The whole-loop
+compiled engine (:mod:`repro.core.cloop`) takes every column as one
+contiguous ``int64`` block (:func:`kernel_columns`), which the kernel
+copies once per context, and runs the cycle loop over a slot pool of
+in-flight uops whose age-ordered structures hold packed
+``(age << SLOT_BITS) | slot`` keys, so a recycled slot can never be
+mistaken for its previous occupant.
 """
 
 from __future__ import annotations
@@ -44,7 +45,10 @@ class TraceSoA:
     ``plain``
         True where fetch needs none of its slow paths: not a branch, not
         an MROM complex op, not an indirect target — the fetch loop
-        appends these uops with zero per-record control flow.
+        appends these uops with zero per-record control flow.  A plain
+        list, for the ``vectorized`` fetch loop; the other columns feed
+        only the C kernel's marshal (:func:`kernel_columns`) and stay
+        compact NumPy arrays (``plain_mask`` is ``plain`` as one).
     ``next_slow``
         for each index, the first index at or after it whose record is
         *not* plain (``n`` when no such record exists).  Lets the C
@@ -58,7 +62,9 @@ class TraceSoA:
         bulk).
     """
 
-    __slots__ = ("n", "plain", "next_slow", "dest_class", "port_class")
+    __slots__ = (
+        "n", "plain", "plain_mask", "next_slow", "dest_class", "port_class"
+    )
 
     def __init__(self, trace: Trace) -> None:
         rec = trace.records
@@ -70,13 +76,12 @@ class TraceSoA:
             | (rec["complex_op"] != 0)
             | (rec["indirect"] != 0)
         )
-        self.plain = (~slow).tolist()
+        self.plain_mask = ~slow
+        self.plain = self.plain_mask.tolist()
         idx = np.where(slow, np.arange(n, dtype=np.int64), n)
-        self.next_slow = np.minimum.accumulate(idx[::-1])[::-1].tolist()
-        self.dest_class = (rec["dest"] >= NUM_ARCH_INT).astype(np.uint8).tolist()
-        self.port_class = (
-            np.asarray(PORT_CLASS_TABLE, dtype=np.uint8)[opclass].tolist()
-        )
+        self.next_slow = np.minimum.accumulate(idx[::-1])[::-1]
+        self.dest_class = (rec["dest"] >= NUM_ARCH_INT).astype(np.uint8)
+        self.port_class = np.asarray(PORT_CLASS_TABLE, dtype=np.uint8)[opclass]
 
 
 def trace_soa(trace: Trace) -> TraceSoA:
@@ -99,11 +104,38 @@ def thread_mem_lines(trace: Trace, mem_offset: int) -> list[int]:
     return (trace.records["mem_line"] + mem_offset).tolist()
 
 
-def trace_latencies(trace: Trace, latency_table) -> list[int]:
-    """Per-record base execution latency (``latency_table[opclass]`` in
-    bulk).  Config-dependent, so computed per machine, not cached on the
-    trace."""
-    return (
-        np.asarray(latency_table, dtype=np.int64)[trace.records["opclass"]]
-        .tolist()
-    )
+#: the record fields that are the first ten ``cloop_set_trace`` columns
+_KERNEL_FIELDS = (
+    "opclass", "dest", "src1", "src2", "pc", "taken", "mem_line",
+    "indirect", "target", "complex_op",
+)
+
+
+def kernel_columns(trace: Trace, mem_offset: int, latency_table) -> np.ndarray:
+    """One thread's trace columns for the C kernel: a C-contiguous
+    ``(15, n)`` int64 array whose rows are the ``cloop_set_trace``
+    columns, in order.
+
+    Row for row, the values equal the ``vectorized`` engine's fetch
+    columns (memory lines offset by ``mem_offset``, flags as 0/1), then
+    the :class:`TraceSoA` port class, destination class, the base
+    latency ``latency_table[opclass]`` and ``next_slow``.  The
+    trace-invariant inputs are the records and the cached
+    :class:`TraceSoA` arrays, at their natural widths; the int64 block
+    is built per call because the kernel copies it, so it need not
+    outlive the call that hands it over.
+    """
+    rec = trace.records
+    soa = trace_soa(trace)
+    cols = np.empty((15, len(rec)), dtype=np.int64)
+    for row, field in enumerate(_KERNEL_FIELDS):
+        cols[row] = rec[field]
+    for row in (5, 7, 9):  # taken, indirect, complex_op: flags
+        cols[row] = cols[row] != 0
+    cols[6] += mem_offset
+    cols[10] = soa.plain_mask
+    cols[11] = soa.port_class
+    cols[12] = soa.dest_class
+    cols[13] = np.asarray(latency_table, dtype=np.int64)[rec["opclass"]]
+    cols[14] = soa.next_slow
+    return cols

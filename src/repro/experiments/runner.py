@@ -205,6 +205,10 @@ class ExperimentRunner:
         self.backend = resolve_backend(backend)
         self.sims_run = 0
         self.cache_hits = 0
+        #: keys already counted: produced here (a simulation this runner
+        #: ran or merged) or once as a cache hit — a sweep reads its own
+        #: merged results back, and that read is not a hit
+        self._counted: set[RunKey] = set()
         #: scheduling/timing records appended by the parallel engine
         #: (one dict per executed item; see repro.experiments.parallel)
         self.sweep_log: list[dict[str, Any]] = []
@@ -330,9 +334,14 @@ class ExperimentRunner:
             self.scale.name, st_config.digest(), "icount", f"st/{trace.name}", "all_done"
         )
 
+    def _count_hit(self, key: RunKey) -> None:
+        if key not in self._counted:
+            self._counted.add(key)
+            self.cache_hits += 1
+
     def _cache_get(self, key: RunKey) -> RunRecord | None:
         if key in self._memory:
-            self.cache_hits += 1
+            self._count_hit(key)
             return self._memory[key]
         if self.cache_dir:
             path = self.cache_dir / key.filename()
@@ -355,7 +364,7 @@ class ExperimentRunner:
                     pass
                 return None
             self._memory[key] = rec
-            self.cache_hits += 1
+            self._count_hit(key)
             return rec
         return None
 
@@ -387,6 +396,7 @@ class ExperimentRunner:
 
     def _cache_put(self, key: RunKey, rec: RunRecord) -> None:
         self._memory[key] = rec
+        self._counted.add(key)
         if self.cache_dir:
             path = self.cache_dir / key.filename()
             # Write-then-rename so a concurrent reader (another runner

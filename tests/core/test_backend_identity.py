@@ -263,3 +263,43 @@ def test_unknown_backend_error_notes_optional_backends(monkeypatch):
     msg = str(exc.value)
     for opt in OPTIONAL_BACKENDS:
         assert f"[{opt}:" in msg
+
+
+@pytest.mark.parametrize(
+    "names",
+    [("ilp_trace", "mem_trace"), ("feature_trace", "fp_trace"),
+     ("mem_trace_b", "ilp_trace_b")],
+    ids=lambda names: "+".join(n[: -len("_trace")] for n in names),
+)
+def test_kernel_columns_equal_the_list_marshal(request, config, names):
+    """The C kernel's zero-copy trace columns hold, element for element,
+    what a list marshal would: the vectorized engine's fetch columns,
+    then port class, destination class, base latency and next slow
+    record (``cloop_set_trace`` order, flags as 0/1), each computed here
+    record by record."""
+    from repro.core.backends import make_processor
+    from repro.core.soa import kernel_columns
+    from repro.isa import NUM_ARCH_INT
+    from repro.isa.uops import PORT_CLASS_TABLE
+
+    traces = [request.getfixturevalue(n) for n in names]
+    proc = make_processor("vectorized", config, make_policy("icount"), traces)
+    for tid, t in enumerate(proc.threads):
+        plain = proc._fetch_cols[tid][-1]
+        n = len(plain)
+        next_slow, nxt = [n] * n, n
+        for i in reversed(range(n)):
+            if not plain[i]:
+                nxt = i
+            next_slow[i] = nxt
+        want = proc._fetch_cols[tid] + (
+            [PORT_CLASS_TABLE[op] for op in t.cols.opclass],
+            [int(d >= NUM_ARCH_INT) for d in t.cols.dest],
+            [proc._latency[op] for op in t.cols.opclass],
+            next_slow,
+        )
+        got = kernel_columns(t.trace, t.mem_offset, proc._latency)
+        assert got.dtype == "int64" and got.flags.c_contiguous
+        assert got.shape == (len(want), n) == (15, n)
+        for col, ref in zip(got, want):
+            assert col.tolist() == [int(x) for x in ref]

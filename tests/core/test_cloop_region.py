@@ -127,6 +127,22 @@ def test_fallback_reports_reason(config, ilp_trace, mem_trace, monkeypatch):
     assert "REPRO_NO_CKERNEL" in proc._cl_error
 
 
+def test_fallback_names_the_failed_envelope_condition(config, ilp_trace,
+                                                     mem_trace):
+    """A machine outside the C envelope says why, before it runs."""
+    from repro.telemetry import Telemetry, TelemetryConfig
+
+    proc = _proc(config, [ilp_trace, mem_trace], policy="cdprf")
+    assert proc._cl_error == "policy cdprf is outside the C policy table"
+    proc = _proc(
+        config, [ilp_trace, mem_trace],
+        telemetry=Telemetry(TelemetryConfig(sample_interval=64)),
+    )
+    assert proc._cl_error == "telemetry attached"
+    assert proc.kernel_active() is False
+    assert _proc(config, [ilp_trace, mem_trace])._cl_error is None
+
+
 def test_non_c_policy_delegates(config, ilp_trace, mem_trace):
     """Policies outside the C table run on the inherited ``vectorized``
     engine; the region API still honours its contract there."""
@@ -161,7 +177,7 @@ def test_kernel_active_reflects_mode(config, ilp_trace, mem_trace, mode):
 
 
 #: the policies the C policy table implements
-_C_TABLE = {"icount", "cisp", "cssp", "cspsp", "pc"}
+_C_TABLE = {"icount", "cisp", "cssp", "cspsp", "pc", "stall", "flush+"}
 
 
 @pytest.mark.parametrize("policy", POLICY_NAMES)
@@ -241,3 +257,109 @@ def test_kernel_tag_covers_source_and_header(tmp_path):
     assert header_tag != tag
     src.write_text(src.read_text() + "/* edited */\n")
     assert ckernel.kernel_tag(src) not in (tag, header_tag)
+
+
+# -- the L2-miss-reaction axis (Stall, Flush+) in the kernel ------------ #
+
+
+def _measured(backend, config, policy, traces, use_ff=True):
+    """The identity suite's run (prewarm, 300-uop warmup, measured
+    region to the first finished thread), returning the machine."""
+    proc = make_processor(backend, config, make_policy(policy), list(traces))
+    proc.prewarm_caches()
+    proc.run_loop(60_000, use_ff=use_ff, commit_target=300)
+    proc.reset_measurement()
+    proc.run_loop(60_000, use_ff=use_ff)
+    return proc
+
+
+def _observables(proc):
+    s = proc.finalize_stats()
+    return (
+        s.as_dict(),
+        s.stalled_thread_cycles,
+        [(t.gated, t.flushed, t.l2_pending) for t in proc.threads],
+    )
+
+
+@pytest.mark.parametrize(
+    "policy, counter", [("stall", "stalled_thread_cycles"), ("flush+", "flushes")]
+)
+def test_identity_fixtures_reach_the_miss_reaction_paths(
+    config, ilp_trace, mem_trace, policy, counter
+):
+    """The identity suite's machines really gate (Stall) and flush
+    (Flush+) inside the kernel, so its bit-identity gate compares live
+    counters, not zeros; the gate count, which the stats dict omits, is
+    compared here."""
+    _require_kernel()
+    traces = [ilp_trace, mem_trace]
+    for use_ff in (False, True):
+        got = _measured("cloop", config, policy, traces, use_ff)
+        assert got.kernel_active()
+        assert getattr(got.stats, counter) > 0
+        want = _measured("vectorized", config, policy, traces, use_ff)
+        assert _observables(got) == _observables(want)
+
+
+def test_flushplus_earliest_misser_continues(config, mem_trace, mem_trace_b,
+                                             monkeypatch):
+    """Two memory-bound threads miss together: Flush+ lets the earliest
+    misser continue and flushes the other, identically in the kernel."""
+    from repro.policies.flushplus import FlushPlusPolicy
+
+    _require_kernel()
+    traces = [mem_trace, mem_trace_b]
+    got = _measured("cloop", config, "flush+", traces)
+    assert got.kernel_active()
+
+    # count the multi-misser branch on the Python engine (patching the
+    # class keeps the exact type, so this is the same C-table policy)
+    arbitrations = []
+    miss = FlushPlusPolicy.on_l2_miss
+
+    def counting(self, uop):
+        if sum(t.l2_pending > 0 for t in self.proc.threads) > 1:
+            arbitrations.append(uop.tid)
+        miss(self, uop)
+
+    monkeypatch.setattr(FlushPlusPolicy, "on_l2_miss", counting)
+    want = _measured("vectorized", config, "flush+", traces)
+    assert arbitrations
+    assert got.stats.flushes > 0
+    assert _observables(got) == _observables(want)
+
+
+def _drive(proc, how, limit, use_ff):
+    if how == "run_loop":
+        proc.run_loop(limit, stop="cycles", use_ff=use_ff)
+    elif how == "step":
+        while proc.cycle < limit:
+            if use_ff:
+                proc.step_fast(limit)
+            else:
+                proc.step()
+    else:
+        while proc.cycle < limit:
+            proc.run_cycles(min(how, limit - proc.cycle), use_ff=use_ff)
+
+
+@pytest.mark.parametrize("use_ff", [False, True], ids=["step", "ff"])
+@pytest.mark.parametrize("policy", ["stall", "flush+"])
+def test_miss_reaction_regions_identical_to_one_shot(
+    config, mem_trace, mem_trace_b, mode, policy, use_ff
+):
+    """Regions of 1, 7 and 64 cycles and single steps export and resume
+    the gate/flush state losslessly: every observable equals one
+    ``run_loop`` over the same cycles."""
+    limit = 4_000
+    one = _proc(config, [mem_trace, mem_trace_b], policy=policy)
+    _drive(one, "run_loop", limit, use_ff)
+    want = _observables(one)
+    assert want[0]["flushes"] > 0 or want[1] > 0
+    for how in (1, 7, 64, "step"):
+        proc = _proc(config, [mem_trace, mem_trace_b], policy=policy)
+        _drive(proc, how, limit, use_ff)
+        assert proc.cycle == limit
+        assert _observables(proc) == want, how
+

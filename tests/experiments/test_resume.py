@@ -98,6 +98,20 @@ def test_parallel_resume_matches_serial(pool, tmp_path):
         assert dataclasses.asdict(got[key]) == dataclasses.asdict(expected[key]), key
 
 
+def test_pooled_sweep_counts_its_own_results_as_runs(pool, tmp_path):
+    """A cold pooled sweep reads every merged result back to assemble
+    its answer; those reads are not cache hits.  A warm rerun is all
+    hits, each key counted once."""
+    config = figure2_config(32)
+    n = len(POLICIES) * len(pool.workloads)
+    cold = ExperimentRunner("smoke", pool=pool, cache_dir=tmp_path, jobs=2)
+    cold.sweep(config, POLICIES)
+    assert (cold.sims_run, cold.cache_hits) == (n, 0)
+    warm = ExperimentRunner("smoke", pool=pool, cache_dir=tmp_path, jobs=2)
+    warm.sweep(config, POLICIES)
+    assert (warm.sims_run, warm.cache_hits) == (0, n)
+
+
 def test_sweep_leaves_only_cache_entries_and_trace(pool, tmp_path, monkeypatch):
     """A pooled sweep writes its cache entries and ``sweep_trace.jsonl``
     into ``cache_dir`` and persists nothing else anywhere — no journal,
